@@ -216,25 +216,36 @@ def enumerate_orders(
     return census
 
 
-def _flag_worker(order: ComparativeOrder) -> tuple[bool, int]:
-    cert = is_representable(order)
-    return cert.representable, len(irreducible_elements(cone_from_order(order)))
+def _flag_worker(order: ComparativeOrder) -> tuple[Certificate, int]:
+    return is_representable(order), len(irreducible_elements(cone_from_order(order)))
+
+
+def _read_checkpoint(path) -> dict[str, tuple[bool, int]]:
+    """Flags recorded in a checkpoint file, keyed by order line.  Text after
+    the last newline is a record torn by an interrupted write: it is cut
+    from the file, so the next append starts on a fresh line."""
+    try:
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                fh.truncate(complete)
+    except FileNotFoundError:
+        return {}
+    known = {}
+    for raw in data[:complete].decode("utf-8").splitlines():
+        rec = json.loads(raw)
+        known[rec["order"]] = (rec["representable"], rec["irr"])
+    return known
 
 
 def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None:
-    known: dict[str, tuple[bool, int]] = {}
-    if checkpoint_path is not None:
-        try:
-            with open(checkpoint_path, "r", encoding="utf-8") as fh:
-                for raw in fh:
-                    rec = json.loads(raw)
-                    known[rec["order"]] = (rec["representable"], rec["irr"])
-        except FileNotFoundError:
-            pass
+    known = _read_checkpoint(checkpoint_path) if checkpoint_path is not None else {}
     total = len(census.orders)
     lines = [order_to_line(o) for o in census.orders]
-    representable: list = [None] * total
-    irr_counts: list = [None] * total
+    # filled in place, so an exhausted budget leaves the partial flags behind
+    representable = census.representable = [None] * total
+    irr_counts = census.irr_counts = [None] * total
     pending = []
     for i, line in enumerate(lines):
         if line in known:
@@ -243,67 +254,38 @@ def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None
             pending.append(i)
 
     sink = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    todo = (census.orders[i] for i in pending)
+    pool = None
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms import, only when used
+
+        pool = ProcessPoolExecutor(max_workers=threads)
+        flagged = pool.map(_flag_worker, todo, chunksize=8)
+    else:
+        flagged = map(_flag_worker, todo)
     done = total - len(pending)
     try:
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                flagged = pool.map(
-                    _flag_worker, (census.orders[i] for i in pending), chunksize=8
+        for i, (cert, irr) in zip(pending, flagged):
+            census.certificates[census.orders[i]] = cert
+            representable[i], irr_counts[i] = cert.representable, irr
+            done += 1
+            if sink is not None:
+                record = {"order": lines[i], "representable": cert.representable, "irr": irr}
+                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                sink.flush()
+            if deadline is not None and done < total and time.monotonic() > deadline:
+                raise ResourceError(
+                    f"flag budget exhausted after {done} of {total} orders",
+                    partial=census,
                 )
-                for i, (rep, irr) in zip(pending, flagged):
-                    if deadline is not None and time.monotonic() > deadline:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise ResourceError(
-                            f"flag budget exhausted after {done} of {total} orders",
-                            partial=census,
-                        )
-                    representable[i], irr_counts[i] = rep, irr
-                    done += 1
-                    if sink is not None:
-                        sink.write(
-                            json.dumps(
-                                {"order": lines[i], "representable": rep, "irr": irr},
-                                sort_keys=True,
-                            )
-                            + "\n"
-                        )
-                        sink.flush()
-        else:
-            for i in pending:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ResourceError(
-                        f"flag budget exhausted after {done} of {total} orders",
-                        partial=census,
-                    )
-                order = census.orders[i]
-                cert = is_representable(order)
-                census.certificates[order] = cert
-                rep, irr = cert.representable, len(
-                    irreducible_elements(cone_from_order(order))
-                )
-                representable[i], irr_counts[i] = rep, irr
-                done += 1
-                if sink is not None:
-                    sink.write(
-                        json.dumps(
-                            {"order": lines[i], "representable": rep, "irr": irr},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    sink.flush()
     except ResourceError:
-        census.representable = representable
-        census.irr_counts = irr_counts
         census.complete = False
         raise
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if sink is not None:
             sink.close()
-    census.representable = representable
-    census.irr_counts = irr_counts
 
 
 def singleton_relabeling(order: ComparativeOrder) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification pass, 1 usage error, 2 verification
-failure, 3 nonrepresentable verdict (represent/certify), 4 budget
+failure (including a certificate file that is not a well-formed
+certificate), 3 nonrepresentable verdict (represent/certify), 4 budget
 exhausted.  JSON output is canonical (sorted keys, no timestamps) so
 identical inputs produce byte-identical reports.
 """
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -29,7 +31,6 @@ from .orders import (
     read_order,
 )
 from .represent import (
-    Certificate,
     TradingTransform,
     check_trading_transform,
     find_trading_transform,
@@ -109,11 +110,9 @@ def cmd_represent(args) -> int:
     order = _load_order(args)
     cert = is_representable(order)
     if not cert.representable and args.transform:
-        transform = find_trading_transform(order, k_max=args.k_max)
-        if transform is not None:
-            cert = Certificate(
-                "nonrepresentable", transform=transform, lp_infeasible=True
-            )
+        shortest = find_trading_transform(order, k_max=args.k_max)
+        if shortest is not None:
+            cert = replace(cert, transform=shortest)
     payload = cert.to_json()
     lines = [f"verdict: {cert.verdict}"]
     if cert.utilities:
@@ -124,26 +123,36 @@ def cmd_represent(args) -> int:
     return EXIT_OK if cert.representable else EXIT_NONREPRESENTABLE
 
 
+def _check_certificate(data, order) -> tuple[str, bool]:
+    """The certificate's verdict and whether its proof holds for ``order``;
+    raises VerificationError when ``data`` is not a well-formed certificate."""
+    if not isinstance(data, dict):
+        raise VerificationError("certificate must be a JSON object")
+    verdict = data.get("verdict")
+    if verdict not in ("representable", "nonrepresentable"):
+        raise VerificationError(f"unknown verdict {verdict!r}")
+    try:
+        if verdict == "representable":
+            utilities = tuple(int(v) for v in data["utilities"])
+            return verdict, order_from_utilities(utilities) == order
+        sides = data["transform"]
+        transform = TradingTransform(
+            tuple(Subset.from_atoms(atoms, order.n) for atoms in sides["As"]),
+            tuple(Subset.from_atoms(atoms, order.n) for atoms in sides["Bs"]),
+        )
+        return verdict, check_trading_transform(transform, order)
+    except (KeyError, TypeError, ValueError, CporderError) as exc:
+        raise VerificationError(f"malformed {verdict} certificate: {exc!r}") from None
+
+
 def cmd_certify(args) -> int:
     order = _load_order(args)
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    verdict = data.get("verdict")
-    if verdict == "representable":
-        utilities = tuple(int(v) for v in data["utilities"])
-        ok = order_from_utilities(utilities) == order
-    elif verdict == "nonrepresentable":
-        if "transform" not in data:
-            print("certificate carries no transform to check", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
-        transform = TradingTransform(
-            tuple(Subset.from_atoms(atoms, order.n) for atoms in data["transform"]["As"]),
-            tuple(Subset.from_atoms(atoms, order.n) for atoms in data["transform"]["Bs"]),
-        )
-        ok = check_trading_transform(transform, order)
-    else:
-        print(f"unknown verdict {verdict!r}", file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise VerificationError(f"certificate is not JSON: {exc}") from None
+    verdict, ok = _check_certificate(data, order)
     _emit(
         {"verdict": verdict, "certificate_valid": ok},
         args.format,
@@ -309,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("represent", help="decide representability")
     common(p, order_file=True)
-    p.add_argument("--transform", action="store_true", help="search for a trading transform on a nonrepresentable verdict")
+    p.add_argument("--transform", action="store_true", help="on a nonrepresentable verdict, "
+                   "replace the certificate's transform with the shortest one found up to --k-max")
     p.add_argument("--k-max", type=int, default=4)
     p.set_defaults(func=cmd_represent)
 

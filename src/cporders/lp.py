@@ -2,6 +2,10 @@
 
 Decides whether {x >= 0 : A x >= b} is nonempty with integer input data and
 arbitrary-precision rational pivoting, so verdicts carry no rounding error.
+Either verdict comes with its proof: a point x of the set, or Farkas
+multipliers lambda >= 0 with lambda^T A <= 0 and lambda^T b > 0, which no
+x >= 0 can satisfy together with A x >= b.  The multipliers are the final
+phase-1 reduced costs of the surplus columns, so they cost no extra pivot.
 Uses gmpy2 rationals when available (several times faster), plain Fractions
 otherwise.  Dantzig pricing with an automatic switch to Bland's rule after a
 run of degenerate pivots guarantees termination.
@@ -9,7 +13,7 @@ run of degenerate pivots guarantees termination.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 try:
     from gmpy2 import mpq as _rational
@@ -20,15 +24,21 @@ _DEGENERATE_LIMIT = 50
 _MAX_PIVOTS = 200_000
 
 
-def solve_feasibility(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[list]:
-    """Return rationals x >= 0 with rows . x >= rhs, or None if infeasible."""
+class Feasibility(NamedTuple):
+    """Outcome of :func:`solve_feasibility`; exactly one field is not None."""
+
+    solution: Optional[list]  # rationals x >= 0 with A x >= b
+    farkas: Optional[list]  # one multiplier per row: lambda >= 0, lambda^T A <= 0, lambda^T b > 0
+
+
+def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feasibility:
+    """Decide whether some rational x >= 0 has rows . x >= rhs; return that
+    x, or else the Farkas multipliers proving that none exists."""
     m = len(rows)
     if m != len(rhs):
         raise ValueError("rows and rhs lengths differ")
     if m == 0:
-        return []
+        return Feasibility([], None)
     n = len(rows[0])
     zero = _rational(0)
     one = _rational(1)
@@ -140,9 +150,10 @@ def solve_feasibility(
         raise RuntimeError("simplex pivot limit exceeded")
 
     if objective != zero:
-        return None
+        # reduced cost of surplus column i = multiplier of row i (see module doc)
+        return Feasibility(None, reduced[n : n + m])
     solution = [zero] * n
     for i, var in enumerate(basis):
         if var < n:
             solution[var] = tableau[i][ncols]
-    return solution
+    return Feasibility(solution, None)

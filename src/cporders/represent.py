@@ -1,16 +1,18 @@
 """Exact representability: deciding whether a comparative probability order
-is induced by an additive integer utility vector, with certificates either
-way -- a reproducing utility vector, or (on request) a trading transform
-witnessing the impossibility.
+is induced by an additive integer utility vector, with a certificate either
+way -- a reproducing utility vector, or a trading transform witnessing the
+impossibility.
 
-The decision procedure is exact rational feasibility of the consecutive-gap
-system {u_i >= 1, u(next) - u(prev) >= 1 for all adjacent ranks}: the gaps
-imply every other comparison by transitivity, strictness is modelled as
-unit slack (sound up to scaling because the data is integral), and every
-verdict is certified by re-checking the full order against the witness or
-by exact infeasibility of a subsystem.  Large instances are solved with a
-growing active set so the tableau stays near the number of atoms, not the
-number of constraints.
+With consecutive ranks S_0 < S_1 < ... and d_k = chi(S_{k+1}) - chi(S_k),
+the order is representable iff some u has u . d_k > 0 for every k.  By
+Gordan's alternative exactly one of that system and {y >= 0, sum_k y_k d_k
+= 0, sum_k y_k >= 1} is solvable, so one exact phase-1 solve of the second
+(2n + 1 rows, one column per gap) decides.  A solution y, scaled to
+integers, is a trading transform (Kraft-Pratt-Seidenberg): y_k copies of
+(S_k \\ S_{k+1}, S_{k+1} \\ S_k).  Otherwise the Farkas multipliers lambda give
+utilities u_i = lambda_{n+i} - lambda_i with u . d_k >= lambda_{2n} > 0.
+Each verdict is re-checked without the solver before it is returned, and a
+failed check raises VerificationError, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError
+from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError
 from .flips import FlippablePair, empty_pair_flippable, flip, flippable_pairs
 from .lp import solve_feasibility
 from .orders import ComparativeOrder, Subset, order_from_utilities, subset_sums
-
-_FULL_SYSTEM_LIMIT = 128  # constraint count below which no active-set loop
-_ACTIVE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -83,32 +82,11 @@ class Certificate:
         return out
 
 
-def _constraint(order: ComparativeOrder, k: int) -> tuple[tuple[int, ...], int]:
-    """Row and right-hand side of gap constraint k in shifted coordinates.
-
-    With u = 1 + x (x >= 0), u(T) - u(S) >= 1 becomes chi(S,T) . x >= rhs
-    where rhs = 1 - (|T| - |S|).
-    """
-    s, t = order.ranked[k], order.ranked[k + 1]
-    tb, sb = t & ~s, s & ~t
-    coeffs = tuple((tb >> i & 1) - (sb >> i & 1) for i in range(order.n))
-    return coeffs, 1 - t.bit_count() + s.bit_count()
-
-
-def _violations(order: ComparativeOrder, utilities: Sequence[int]) -> list[tuple[int, int]]:
-    """Constraint indices where the candidate fails strictness, worst first.
-
-    Each entry is (deficit, k) with deficit = u(S_k) - u(S_{k+1}) >= 0.
-    """
+def _violations(order: ComparativeOrder, utilities: Sequence[int]) -> list[int]:
+    """Gaps k where the candidate fails strictness: u(S_{k+1}) <= u(S_k)."""
     sums = subset_sums(utilities)
     ranked = order.ranked
-    out = []
-    for k in range(len(ranked) - 1):
-        gap = sums[ranked[k + 1]] - sums[ranked[k]]
-        if gap <= 0:
-            out.append((-gap, k))
-    out.sort(key=lambda item: (-item[0], item[1]))
-    return out
+    return [k for k in range(len(ranked) - 1) if sums[ranked[k + 1]] <= sums[ranked[k]]]
 
 
 def _scale_to_integers(values) -> tuple[int, ...]:
@@ -120,60 +98,68 @@ def _scale_to_integers(values) -> tuple[int, ...]:
     return tuple(v // shrink for v in ints)
 
 
+def _gordan_system(order: ComparativeOrder) -> tuple[list[list[int]], list[int]]:
+    """Rows and right-hand sides of sum_k y_k d_k = 0 (as two inequalities
+    per atom) and sum_k y_k >= 1, one column per consecutive gap k."""
+    n, ranked = order.n, order.ranked
+    gaps = [
+        [(t >> i & 1) - (s >> i & 1) for i in range(n)]
+        for s, t in zip(ranked, ranked[1:])
+    ]
+    rows = [[d[i] for d in gaps] for i in range(n)]
+    rows += [[-v for v in row] for row in rows]
+    rows.append([1] * len(gaps))
+    return rows, [0] * (2 * n) + [1]
+
+
 def is_representable(
     order: ComparativeOrder, hint: Optional[Sequence[int]] = None
 ) -> Certificate:
-    """Decide representability; total for every structurally valid order.
+    """Decide representability; total for every order with the empty set
+    ranked first.
 
     ``hint`` is an optional candidate integer utility vector tried before
     any pivoting (e.g. a perturbed witness for a flip neighbour); a hint
     never changes the verdict, only the route to it.
     """
-    m = (1 << order.n) - 1
+    n = order.n
+    if order.ranked[0] != 0:
+        raise ValueError("the empty set must rank first")
     if hint is not None:
         candidate = tuple(int(v) for v in hint)
         if (
-            len(candidate) == order.n
+            len(candidate) == n
             and all(v > 0 for v in candidate)
             and not _violations(order, candidate)
         ):
-            assert order_from_utilities(candidate) == order
+            if order_from_utilities(candidate) != order:
+                raise VerificationError("hint passes every gap but does not re-derive the order")
             return Certificate("representable", utilities=candidate)
 
-    constraints = {}
+    result = solve_feasibility(*_gordan_system(order))
+    if result.solution is None:
+        lam = result.farkas
+        utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
+        if _violations(order, utilities) or order_from_utilities(utilities) != order:
+            raise VerificationError(f"Farkas utilities {utilities} do not re-derive the order")
+        return Certificate("representable", utilities=utilities)
 
-    def get(k: int):
-        if k not in constraints:
-            constraints[k] = _constraint(order, k)
-        return constraints[k]
-
-    if m <= _FULL_SYSTEM_LIMIT:
-        active = sorted(range(m))
-    else:
-        active = []
-        seen = set()
-    while True:
-        if active:
-            rows = [get(k)[0] for k in active]
-            rhs = [get(k)[1] for k in active]
-            x = solve_feasibility(rows, rhs)
-            if x is None:
-                # an infeasible subsystem certifies the full system
-                return Certificate("nonrepresentable", lp_infeasible=True)
-            utilities = _scale_to_integers([xi + 1 for xi in x])
-        else:
-            utilities = (1,) * order.n
-        viol = _violations(order, utilities)
-        if not viol:
-            assert order_from_utilities(utilities) == order
-            return Certificate("representable", utilities=utilities)
-        if m <= _FULL_SYSTEM_LIMIT:
-            raise AssertionError("full system solution violates a constraint")
-        fresh = [k for _, k in viol if k not in seen][:_ACTIVE_BATCH]
-        assert fresh, "active constraints cannot be violated by their own solution"
-        seen.update(fresh)
-        active.extend(fresh)
-        active.sort()
+    ranked, pos = order.ranked, order.position
+    a_sets: list[Subset] = []
+    b_sets: list[Subset] = []
+    for k, copies in enumerate(_scale_to_integers(result.solution)):
+        if copies:
+            s, t = ranked[k], ranked[k + 1]
+            # union-consistency keeps the disjoint parts in order; an order
+            # violating it keeps the consecutive pair itself
+            if pos[s & ~t] < pos[t & ~s]:
+                s, t = s & ~t, t & ~s
+            a_sets += [Subset(s, n)] * copies
+            b_sets += [Subset(t, n)] * copies
+    transform = TradingTransform(tuple(a_sets), tuple(b_sets))
+    if not check_trading_transform(transform, order):
+        raise VerificationError("Gordan solution does not give a trading transform")
+    return Certificate("nonrepresentable", transform=transform, lp_infeasible=True)
 
 
 def check_trading_transform(transform: TradingTransform, order: ComparativeOrder) -> bool:
@@ -255,7 +241,8 @@ def find_trading_transform(
             a_sets = tuple(Subset(pairs[i][0], n) for i in found)
             b_sets = tuple(Subset(pairs[i][1], n) for i in found)
             transform = TradingTransform(a_sets, b_sets)
-            assert check_trading_transform(transform, order)
+            if not check_trading_transform(transform, order):
+                raise VerificationError("search result fails check_trading_transform")
             return transform
     return None
 

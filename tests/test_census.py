@@ -14,7 +14,7 @@ from cporders.census import (
 )
 from cporders.errors import ResourceError
 from cporders.flips import flip, flippable_pairs
-from cporders.orders import validate_order
+from cporders.orders import order_from_utilities, validate_order
 from cporders.represent import is_representable
 
 
@@ -140,3 +140,22 @@ class TestPersistence:
         assert check.read_text().count("\n") == lines_before  # nothing recomputed
         assert second.representable == first.representable
         assert second.irr_counts == first.irr_counts
+
+    def test_checkpoint_torn_last_record(self, tmp_path):
+        check = tmp_path / "flags4.ndjson"
+        first = enumerate_orders(4, checkpoint_path=check)
+        text = check.read_text()
+        check.write_text(text[: len(text) - 20])  # interrupted mid-record
+        second = enumerate_orders(4, checkpoint_path=check)
+        assert second.representable == first.representable
+        assert second.irr_counts == first.irr_counts
+        assert check.read_text() == text  # torn record dropped, then rewritten
+
+
+class TestFlagWorkers:
+    def test_pool_keeps_certificates(self, n4_census):
+        pooled = enumerate_orders(4, with_edges=False, threads=2)
+        assert pooled.representable == n4_census.representable
+        assert pooled.irr_counts == n4_census.irr_counts
+        for order in pooled.orders:
+            assert order_from_utilities(pooled.certificates[order].utilities) == order

@@ -1,6 +1,10 @@
 """CLI wiring: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,46 @@ class TestRepresent:
         )
         assert code == 3  # valid certificate, nonrepresentable verdict
         assert json.loads(out)["certificate_valid"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"verdict": "representable"}',
+            "[1, 2]",
+            '{"verdict": "representable", "utilities": [1, 1, 2]}',
+            '{"verdict": "nonrepresentable", "transform": {"As": [[9]], "Bs": [[1]]}}',
+            '{"verdict": "maybe"}',
+            "not json",
+        ],
+    )
+    def test_certify_malformed_exits_two(self, capsys, tmp_path, lex3_file, text):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        code = main(["certify", "--order-file", str(lex3_file), "--certificate", str(cert_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("verification failed:")
+
+    def test_certificates_round_trip_under_optimize(self, tmp_path, lex3_file, nonrep_file):
+        # -O strips asserts; the certificate checks must still run
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-O", "-m", "cporders.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        for order_file, expected in ((lex3_file, 0), (nonrep_file, 3)):
+            decided = cli("represent", "--format", "json", "--order-file", str(order_file))
+            assert decided.returncode == expected, decided.stderr
+            if expected == 3:
+                blob = json.loads(decided.stdout)
+                assert "transform" in blob and blob["lp_infeasible"] is True
+            cert_path = tmp_path / f"cert{expected}.json"
+            cert_path.write_text(decided.stdout)
+            checked = cli("certify", "--order-file", str(order_file), "--certificate", str(cert_path))
+            assert checked.returncode == expected, checked.stderr
 
 
 class TestEnumerateAndStats:

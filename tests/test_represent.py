@@ -1,13 +1,18 @@
 """Exact representability decisions, witnesses, and trading transforms."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cporders.errors import LengthMismatchError, NotNeighborsError, TieError
+from cporders.census import relabel_order
+from cporders.errors import LengthMismatchError, NotNeighborsError, TieError, VerificationError
 from cporders.flips import flippable_pairs, neighbors
-from cporders.lp import solve_feasibility
+from cporders.lp import Feasibility, solve_feasibility
 from cporders.orders import (
+    ComparativeOrder,
     Subset,
     lexicographic_utilities,
     maclagan_utilities,
@@ -24,27 +29,40 @@ from cporders.represent import (
 )
 
 
+def assert_farkas(rows, rhs, farkas):
+    """lambda >= 0, lambda^T A <= 0 and lambda^T b > 0: no x >= 0 has A x >= b."""
+    assert len(farkas) == len(rows)
+    assert all(lam >= 0 for lam in farkas)
+    for j in range(len(rows[0])):
+        assert sum(lam * row[j] for lam, row in zip(farkas, rows)) <= 0
+    assert sum(lam * b for lam, b in zip(farkas, rhs)) > 0
+
+
 class TestSolveFeasibility:
     def test_simple_feasible(self):
-        x = solve_feasibility([(1, 0), (0, 1), (1, 1)], [1, 1, 3])
-        assert x is not None
+        x, farkas = solve_feasibility([(1, 0), (0, 1), (1, 1)], [1, 1, 3])
+        assert farkas is None
         assert x[0] >= 1 and x[1] >= 1 and x[0] + x[1] >= 3
 
     def test_simple_infeasible(self):
         # x >= 2 and -x >= -1 cannot both hold
-        assert solve_feasibility([(1,), (-1,)], [2, -1]) is None
+        rows, rhs = [(1,), (-1,)], [2, -1]
+        result = solve_feasibility(rows, rhs)
+        assert result.solution is None
+        assert_farkas(rows, rhs, result.farkas)
 
     def test_negative_rhs_rows(self):
-        x = solve_feasibility([(-1, -1)], [-10])
-        assert x == [0, 0]
+        assert solve_feasibility([(-1, -1)], [-10]).solution == [0, 0]
 
     def test_empty_system(self):
-        assert solve_feasibility([], []) == []
+        assert solve_feasibility([], []) == ([], None)
 
     def test_conflicting_chain(self):
         # a - b >= 1, b - c >= 1, c - a >= 1 sums to 0 >= 3
-        rows = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
-        assert solve_feasibility(rows, [1, 1, 1]) is None
+        rows, rhs = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)], [1, 1, 1]
+        result = solve_feasibility(rows, rhs)
+        assert result.solution is None
+        assert_farkas(rows, rhs, result.farkas)
 
 
 class TestIsRepresentable:
@@ -60,9 +78,7 @@ class TestIsRepresentable:
         cert = is_representable(order, hint=maclagan_utilities(n))
         assert cert.representable
 
-    def test_active_set_loop_without_hint(self):
-        # 255 constraints exceeds the direct-solve cutoff, so this exercises
-        # the growing-active-set path end to end
+    def test_eight_atoms_without_hint(self):
         rng = random.Random(7)
         utilities = tuple(sorted(rng.sample(range(100, 40000), 8)))
         order = order_from_utilities(utilities)
@@ -92,6 +108,66 @@ class TestIsRepresentable:
         assert not cert.representable
         assert cert.lp_infeasible
         assert cert.utilities is None
+        assert check_trading_transform(cert.transform, nonrep[0])
+
+    def test_census_certificates_check_independently(self, n5_census):
+        rep = nonrep = 0
+        for order, flag in zip(n5_census.orders, n5_census.representable):
+            cert = n5_census.certificates[order]
+            assert cert.representable == flag
+            if flag:
+                assert order_from_utilities(cert.utilities) == order
+                rep += 1
+            else:
+                assert check_trading_transform(cert.transform, order)
+                assert 4 <= cert.transform.length <= 5
+                nonrep += 1
+        assert (rep, nonrep) == (516, 30)
+
+    def test_axiom_violating_order_gets_checked_transform(self):
+        # {1,2} ranks below {1}: monotonicity fails, so no utilities exist
+        order = ComparativeOrder(2, [0, 3, 1, 2])
+        cert = is_representable(order)
+        assert not cert.representable
+        assert check_trading_transform(cert.transform, order)
+
+    @pytest.mark.parametrize(
+        "bogus",
+        [Feasibility(None, [Fraction(1)] * 7), Feasibility([Fraction(1)] * 7, None)],
+        ids=["farkas", "solution"],
+    )
+    def test_wrong_solver_answer_is_refused(self, monkeypatch, bogus):
+        # n=3 has 2n+1 = 7 rows and 7 gaps; neither answer certifies lex3
+        monkeypatch.setattr("cporders.represent.solve_feasibility", lambda rows, rhs: bogus)
+        with pytest.raises(VerificationError):
+            is_representable(order_from_utilities(lexicographic_utilities(3)))
+
+    def test_empty_set_must_rank_first(self):
+        with pytest.raises(ValueError):
+            is_representable(ComparativeOrder(2, [1, 0, 2, 3]))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_random_utilities_round_trip_under_relabeling(self, data):
+        n = data.draw(st.integers(6, 8), label="n")
+        utilities = data.draw(
+            st.lists(st.integers(1, 10**6), min_size=n, max_size=n), label="utilities"
+        )
+        try:
+            order = order_from_utilities(utilities)
+        except TieError:
+            assume(False)
+        perm = tuple(data.draw(st.permutations(range(1, n + 1)), label="perm"))
+        for o in (order, relabel_order(order, perm)):
+            cert = is_representable(o)
+            assert cert.representable
+            assert order_from_utilities(cert.utilities) == o
+
+    def test_verdict_invariant_under_relabeling(self, n5_census):
+        rng = random.Random(1103)
+        for order, flag in list(zip(n5_census.orders, n5_census.representable))[::7]:
+            perm = tuple(rng.sample(range(1, 6), 5))
+            assert is_representable(relabel_order(order, perm)).representable == flag
 
     def test_nonrepresentable_resists_random_search(self, n5_census):
         # spot check: no random integer vector reproduces a nonrepresentable order
