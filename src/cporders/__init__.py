@@ -54,11 +54,10 @@ from .flips import (
     CriticalPair,
     FlippablePair,
     critical_pairs,
-    empty_pair_flippable,
     flip,
+    flip_neighbors,
     flippable_pairs,
     is_flippable,
-    neighbors,
 )
 from .orders import (
     ComparativeOrder,
@@ -86,6 +85,7 @@ from .represent import (
     friendly,
     is_representable,
     neighbor_witness_hint,
+    unfriendly_flips,
 )
 from .sequences import QSequence, fibonacci, fibonacci_nearest_phi, q_value
 

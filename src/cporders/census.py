@@ -1,7 +1,9 @@
 """Exhaustive generation of all comparative probability orders on small
 atom counts (with singletons in ascending position), flip-graph edges over
 the census, and the summary statistics: representable counts, irreducible
-histograms, facet extremes, connectivity.
+histograms, facet extremes, connectivity.  A facet count is flippable
+pairs minus unfriendly flips, and M(n) is read off the census flags and
+edges without solving an LP.
 
 The generator extends a ranked prefix subset by subset.  A subset may be
 appended only when all its proper subsets are already placed (they must
@@ -18,13 +20,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cones import cone_from_order, irreducible_elements
 from .errors import ResourceError
-from .flips import empty_pair_flippable, flip, flippable_pairs
+from .flips import flip_neighbors, flippable_pairs
 from .orders import ComparativeOrder, order_from_line, order_to_line, validate_order
-from .represent import Certificate, is_representable
+from .represent import Certificate, is_representable, unfriendly_flips
 
 Edge = tuple[int, Optional[tuple[int, ...]]]  # neighbor index, relabeling or None
 
@@ -46,11 +48,6 @@ class OrderCensus:
     edges: Optional[list[list[Edge]]] = None
     complete: bool = True
     certificates: dict = field(default_factory=dict, repr=False)
-
-    def index_of(self, order: ComparativeOrder) -> Optional[int]:
-        if not hasattr(self, "_index"):
-            self._index = {o.ranked: i for i, o in enumerate(self.orders)}
-        return self._index.get(order.ranked)
 
 
 def _generate_orders(n: int, deadline: Optional[float]) -> list[tuple[int, ...]]:
@@ -319,10 +316,7 @@ def _annotate_edges(census) -> None:
     identity = tuple(range(1, census.n + 1))
     for order in census.orders:
         row: list[Edge] = []
-        for fp in flippable_pairs(order):
-            if fp.a.mask == 0:
-                continue
-            neighbor = flip(order, fp)
+        for _, neighbor in flip_neighbors(order):
             j = index.get(neighbor.ranked)
             if j is not None:
                 row.append((j, None))
@@ -407,38 +401,37 @@ def _component_count(adjacency: dict[int, list[int]]) -> int:
 
 
 def facet_counts_from_census(census: OrderCensus) -> list[Optional[int]]:
-    """Facet count per representable order, None elsewhere: representable
-    flip-neighbours (read off the census edges) plus the empty-pair bonus."""
+    """Facet count per representable order, None elsewhere: flippable pairs
+    minus unfriendly flips, the neighbours' verdicts read off the census
+    edges and flags (representability is invariant under relabeling)."""
     if census.representable is None or census.edges is None:
         raise ValueError("census must carry representability flags and edges")
-    out: list[Optional[int]] = []
-    for i, order in enumerate(census.orders):
-        if not census.representable[i]:
-            out.append(None)
-            continue
-        count = sum(1 for j, _ in census.edges[i] if census.representable[j])
-        if empty_pair_flippable(order):
-            count += 1
-        out.append(count)
-    return out
+    rep = census.representable
+    return [
+        len(flippable_pairs(order)) - sum(not rep[j] for j, _ in census.edges[i])
+        if rep[i]
+        else None
+        for i, order in enumerate(census.orders)
+    ]
 
 
 def census_stats(census: OrderCensus) -> CensusStats:
-    """Summary statistics; M(n) comes from full facet counting when all
-    flags are present, otherwise from the max-flip shortcut (facets never
-    exceed flippable pairs, and a max-flip order whose flips are all
-    friendly attains the bound)."""
+    """Summary statistics.  With all flags and edges, M(n) and the minimum
+    are taken over the facet counts of every representable order, and no
+    LP is solved.  Otherwise M(n) comes from the max-flip shortcut: facets
+    never exceed flippable pairs, and a max-flip order with no unfriendly
+    flip attains the bound."""
     if census.irr_counts is None or any(v is None for v in census.irr_counts):
         raise ValueError("census must carry irreducible counts")
     histogram: dict[int, int] = {}
     for irr in census.irr_counts:
         histogram[irr] = histogram.get(irr, 0) + 1
     m = max(census.irr_counts)
+    max_rows = [i for i, irr in enumerate(census.irr_counts) if irr == m]
 
     flags_full = census.representable is not None and all(
         v is not None for v in census.representable
     )
-    max_irr_friendly = _max_irr_all_friendly(census)
     if flags_full and census.edges is not None:
         facets = facet_counts_from_census(census)
         present = [f for f in facets if f is not None]
@@ -446,7 +439,17 @@ def census_stats(census: OrderCensus) -> CensusStats:
         min_facets = min(present)
         method = "prop1-full"
         rep_count = sum(census.representable)
+        # irr_counts equal flippable-pair counts (Theorem 2), so a facet count
+        # of m means a representable max-flip order with every flip friendly
+        max_irr_friendly = all(facets[i] == m for i in max_rows)
     else:
+        max_irr_friendly = True
+        for i in max_rows:
+            order = census.orders[i]
+            cert = census.certificates.get(order) or is_representable(order)
+            if not cert.representable or unfriendly_flips(order, cert.utilities):
+                max_irr_friendly = False
+                break
         max_facets = m if max_irr_friendly else None
         min_facets = None
         method = "max-flip-friendly" if max_irr_friendly else "unknown"
@@ -482,34 +485,6 @@ def census_stats(census: OrderCensus) -> CensusStats:
         full_graph_components=full_components,
         representable_components=rep_components,
     )
-
-
-def _max_irr_all_friendly(census: OrderCensus) -> bool:
-    """Whether every maximum-flip order is representable with all flips
-    friendly; decides M(n) = m(n) without facet counts for every order."""
-    m = max(census.irr_counts)
-    for i, order in enumerate(census.orders):
-        if census.irr_counts[i] != m:
-            continue
-        cert = _decide(census, i)
-        if not cert.representable:
-            return False
-        for fp in flippable_pairs(order):
-            if fp.a.mask == 0:
-                continue
-            neighbor = flip(order, fp)
-            if not is_representable(neighbor).representable:
-                return False
-    return True
-
-
-def _decide(census: OrderCensus, i: int) -> Certificate:
-    order = census.orders[i]
-    if order in census.certificates:
-        return census.certificates[order]
-    cert = is_representable(order)
-    census.certificates[order] = cert
-    return cert
 
 
 # ---------------------------------------------------------------------------

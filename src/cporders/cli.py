@@ -20,7 +20,7 @@ from . import __version__
 from .bounds import entropy_bound, lambda_rate_bracket, upper_bound, verify_fibonacci_construction
 from .census import census_stats, enumerate_orders, read_census, write_census
 from .errors import CporderError, ResourceError, VerificationError
-from .flips import flippable_pairs, neighbors
+from .flips import flip_neighbors, flippable_pairs
 from .orders import (
     Subset,
     lexicographic_utilities,
@@ -96,7 +96,7 @@ def cmd_flips(args) -> int:
 
 def cmd_neighbors(args) -> int:
     order = _load_order(args)
-    flipped = neighbors(order)
+    flipped = [neighbor for _, neighbor in flip_neighbors(order)]
     payload = {
         "n": order.n,
         "count": len(flipped),
@@ -290,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_file=False):
+    def common(p, order_file=False, threads=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument(
-            "--threads", type=int, default=_threads_default(),
-            help="worker pool size (env CPOL_THREADS)",
-        )
+        if threads:
+            p.add_argument(
+                "--threads", type=int, default=_threads_default(),
+                help="worker pool size (env CPOL_THREADS)",
+            )
         if order_file:
             p.add_argument("--order-file", required=True)
 
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="wall-clock seconds")
     p.add_argument("--checkpoint", help="flag checkpoint file (resumable)")
     p.add_argument("--no-flags", action="store_true")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("stats", help="summarise a census file")
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the paper reproduction suite")
     p.add_argument("--n6-budget", type=float, help="seconds for the n=6 census (default: skipped)")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_repro)
 
     return parser

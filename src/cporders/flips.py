@@ -12,6 +12,7 @@ nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import EmptySideError
 from .orders import ComparativeOrder, Subset, validate_order
@@ -124,13 +125,12 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
     return result
 
 
-def neighbors(order: ComparativeOrder) -> list[ComparativeOrder]:
-    """One flipped order per flippable pair with nonempty smaller side."""
-    return [flip(order, fp) for fp in flippable_pairs(order) if fp.a.mask != 0]
-
-
-def empty_pair_flippable(order: ComparativeOrder) -> bool:
-    """Whether the pair (empty set, first nonempty subset) is flippable."""
-    first = critical_pairs(order)[0]
-    assert first.a.mask == 0 and first.rank_a == 0
-    return is_flippable(order, first)
+def flip_neighbors(
+    order: ComparativeOrder,
+) -> Iterator[tuple[FlippablePair, ComparativeOrder]]:
+    """Each flippable pair with nonempty smaller side and the order its flip
+    yields, in ``flippable_pairs`` order.  Lazy, so a caller holds one
+    neighbour at a time: a 12-atom order has hundreds of them."""
+    for fp in flippable_pairs(order):
+        if fp.a.mask != 0:
+            yield fp, flip(order, fp)

@@ -70,12 +70,6 @@ class Subset:
     def complement(self) -> "Subset":
         return Subset(~self.mask & ((1 << self.n) - 1), self.n)
 
-    def isdisjoint(self, other: "Subset") -> bool:
-        return self.mask & other.mask == 0
-
-    def issubset(self, other: "Subset") -> bool:
-        return self.mask & ~other.mask == 0
-
     def to_text(self) -> str:
         """Comma-separated ascending atom list, '-' for the empty set."""
         return ",".join(map(str, self.atoms)) if self.mask else "-"

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError
-from .flips import FlippablePair, empty_pair_flippable, flip, flippable_pairs
+from .flips import FlippablePair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
 from .orders import ComparativeOrder, Subset, order_from_utilities, subset_sums
 
@@ -276,42 +276,34 @@ def neighbor_witness_hint(
     return tuple(out)
 
 
+def unfriendly_flips(
+    order: ComparativeOrder, utilities: Sequence[int]
+) -> list[FlippablePair]:
+    """Flippable pairs of an order represented by ``utilities`` whose flip
+    is nonrepresentable; each neighbour is decided with its witness hint."""
+    return [
+        fp
+        for fp, neighbor in flip_neighbors(order)
+        if not is_representable(
+            neighbor, hint=neighbor_witness_hint(utilities, fp)
+        ).representable
+    ]
+
+
 def friendly(order: ComparativeOrder, other: ComparativeOrder) -> bool:
     """Whether two flip-related orders agree on representability."""
     if order.n != other.n:
         raise NotNeighborsError("orders live on different atom counts")
-    for fp in flippable_pairs(order):
-        if fp.a.mask != 0 and flip(order, fp) == other:
-            break
-    else:
+    if all(neighbor != other for _, neighbor in flip_neighbors(order)):
         raise NotNeighborsError("orders are not related by a single flip")
     return is_representable(order).representable == is_representable(other).representable
 
 
-def facet_count(
-    order: ComparativeOrder, cache: Optional[dict] = None
-) -> int:
-    """Number of facets of the order's region: representable flip neighbours,
-    plus one when the (empty set, first subset) pair is flippable."""
-
-    def decide(o: ComparativeOrder, hint=None) -> Certificate:
-        if cache is not None and o in cache:
-            return cache[o]
-        cert = is_representable(o, hint=hint)
-        if cache is not None:
-            cache[o] = cert
-        return cert
-
-    base = decide(order)
+def facet_count(order: ComparativeOrder) -> int:
+    """Number of facets of the order's region: flippable pairs minus
+    unfriendly flips.  The (empty set, first subset) pair, when flippable,
+    is a facet of its own: it has no flip, so it is never unfriendly."""
+    base = is_representable(order)
     if not base.representable:
         raise NotRepresentableError("facet counting requires a representable order")
-    count = 0
-    for fp in flippable_pairs(order):
-        if fp.a.mask == 0:
-            continue
-        hint = neighbor_witness_hint(base.utilities, fp)
-        if decide(flip(order, fp), hint=hint).representable:
-            count += 1
-    if empty_pair_flippable(order):
-        count += 1
-    return count
+    return len(flippable_pairs(order)) - len(unfriendly_flips(order, base.utilities))

@@ -27,17 +27,12 @@ from .census import (
     brute_force_oracle,
     census_stats,
     enumerate_orders,
-    facet_counts_from_census,
 )
 from .cones import characteristic_vector, cone_from_order, irreducible_elements
 from .errors import ResourceError, TieError, VerificationError
-from .flips import flip, flippable_pairs
+from .flips import flippable_pairs
 from .orders import ComparativeOrder, maclagan_utilities, order_from_utilities
-from .represent import (
-    check_trading_transform,
-    find_trading_transform,
-    is_representable,
-)
+from .represent import check_trading_transform, find_trading_transform
 from .sequences import fibonacci
 
 FIB_BASE_RANGE = range(3, 12)  # base n; orders live on 4..12 atoms
@@ -166,13 +161,10 @@ def criterion_5_census_5(ctx: ReproContext) -> CriterionResult:
         return CriterionResult(
             5, "census-5", False, f"irr values {sorted(stats.irr_histogram)} != [5..8]"
         )
-    # every maximum-flip order is representable and all its flips friendly
-    max_rows = [i for i, irr in enumerate(census.irr_counts) if irr == 8]
-    for i in max_rows:
-        if not census.representable[i]:
-            return CriterionResult(5, "census-5", False, f"order {i} (8 flips) nonrepresentable")
-        if not all(census.representable[j] for j, _ in census.edges[i]):
-            return CriterionResult(5, "census-5", False, f"order {i} has unfriendly flip")
+    if not stats.max_irr_all_friendly:
+        return CriterionResult(
+            5, "census-5", False, "a max-flip order is nonrepresentable or has an unfriendly flip"
+        )
     if stats.max_facets != 8:
         return CriterionResult(5, "census-5", False, f"M(5)={stats.max_facets} != 8")
     nonrep = [i for i, r in enumerate(census.representable) if not r]
@@ -212,24 +204,17 @@ def criterion_6_census_6(ctx: ReproContext, budget: Optional[float]) -> Criterio
             f"budget of {budget:.0f}s exhausted after {done} orders (reported, not failed)",
             skipped=True,
         )
-    irr_counts = [
+    census.irr_counts = [
         len(irreducible_elements(cone_from_order(o))) for o in census.orders
     ]
-    m6 = max(irr_counts)
-    if m6 != 13:
-        return CriterionResult(6, "census-6", False, f"m(6)={m6} != 13")
+    stats = census_stats(census)
+    if stats.max_flippable != 13:
+        return CriterionResult(6, "census-6", False, f"m(6)={stats.max_flippable} != 13")
     # M(6) = m(6) once every max-flip order is representable with friendly flips
-    for i, irr in enumerate(irr_counts):
-        if irr != m6:
-            continue
-        order = census.orders[i]
-        if not is_representable(order).representable:
-            return CriterionResult(6, "census-6", False, f"13-flip order {i} nonrepresentable")
-        for fp in flippable_pairs(order):
-            if fp.a.mask == 0:
-                continue
-            if not is_representable(flip(order, fp)).representable:
-                return CriterionResult(6, "census-6", False, f"13-flip order {i} has unfriendly flip")
+    if not stats.max_irr_all_friendly:
+        return CriterionResult(
+            6, "census-6", False, "a 13-flip order is nonrepresentable or has an unfriendly flip"
+        )
     return CriterionResult(
         6, "census-6", True,
         f"{len(census.orders)} orders, m(6)=M(6)=13 (max-flip orders all friendly)",

@@ -72,3 +72,12 @@ def test_criterion_11_trichotomy(ctx):
 
 def test_criterion_12_adjacency_budget(ctx):
     report(repro.criterion_12_adjacency_budget(ctx))
+
+
+def test_criterion_06_runs_the_max_flip_shortcut(ctx, n5_census, monkeypatch):
+    # the n=5 census without flags or edges stands in for the n=6 one
+    bare = repro.OrderCensus(5, n5_census.orders)
+    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
+    result = repro.criterion_6_census_6(ctx, budget=1.0)
+    assert not result.passed and result.detail == "m(6)=8 != 13"
+    assert bare.irr_counts == n5_census.irr_counts

@@ -12,7 +12,9 @@ from cporders.bounds import (
     upper_bound,
     verify_fibonacci_construction,
 )
-from cporders.errors import RangeError
+from cporders.errors import RangeError, VerificationError
+from cporders.flips import flippable_pairs
+from cporders.orders import maclagan_utilities, order_from_utilities
 from cporders.sequences import fibonacci, fibonacci_nearest_phi, q_value
 
 
@@ -159,6 +161,14 @@ class TestVerifyFibonacciConstruction:
         assert report.flippable_count == fibonacci(n + 2)
         assert report.all_friendly
         assert report.g + report.h == report.flippable_count
+
+    def test_unfriendly_flip_is_named(self, monkeypatch):
+        from cporders import bounds
+
+        monkeypatch.setattr(bounds, "unfriendly_flips", lambda order, u: flippable_pairs(order))
+        first = flippable_pairs(order_from_utilities(maclagan_utilities(3)))[0]
+        with pytest.raises(VerificationError, match=rf"flip over \({first.a.to_text()}, "):
+            verify_fibonacci_construction(3)
 
     def test_count_only_mode(self):
         report = verify_fibonacci_construction(6, check_friendly=False)

@@ -3,6 +3,7 @@
 import pytest
 
 from cporders.census import (
+    OrderCensus,
     brute_force_oracle,
     census_stats,
     enumerate_orders,
@@ -15,7 +16,7 @@ from cporders.census import (
 from cporders.errors import ResourceError
 from cporders.flips import flip, flippable_pairs
 from cporders.orders import order_from_utilities, validate_order
-from cporders.represent import is_representable
+from cporders.represent import facet_count, is_representable
 
 
 class TestOracleEquivalence:
@@ -107,6 +108,32 @@ class TestStats:
         for order, f in zip(n4_census.orders, facets):
             if f is not None:
                 assert f <= len(flippable_pairs(order))
+
+    @pytest.mark.parametrize("n,step", [(4, 1), (5, 10)])
+    def test_census_facets_match_exact_count(self, n, step, request):
+        census = request.getfixturevalue(f"n{n}_census")
+        facets = facet_counts_from_census(census)
+        rows = [i for i, f in enumerate(facets) if f is not None][::step]
+        assert rows
+        for i in rows:
+            assert facets[i] == facet_count(census.orders[i])
+
+    def test_stats_solve_no_lp_with_flags_and_edges(self, n5_census, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census_stats solved an LP")
+
+        monkeypatch.setattr("cporders.census.is_representable", refuse)
+        monkeypatch.setattr("cporders.represent.is_representable", refuse)
+        stats = census_stats(n5_census)
+        assert stats.max_facets == 8 and stats.max_irr_all_friendly
+
+    def test_flagless_max_flip_shortcut(self, n5_census):
+        bare = OrderCensus(5, n5_census.orders, irr_counts=n5_census.irr_counts)
+        stats = census_stats(bare)
+        assert stats.max_facets == 8
+        assert stats.max_facets_method == "max-flip-friendly"
+        assert stats.max_irr_all_friendly
+        assert stats.min_facets is None
 
 
 class TestBudget:

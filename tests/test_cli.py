@@ -196,5 +196,9 @@ class TestUsage:
     def test_missing_file(self):
         assert main(["flips", "--order-file", "/nonexistent.ord"]) == 1
 
+    def test_threads_only_where_used(self, capsys, lex3_file):
+        assert main(["flips", "--order-file", str(lex3_file), "--threads", "2"]) == 1
+        assert main(["enumerate", "--n", "3", "--threads", "2"]) == 0
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -7,11 +7,10 @@ from cporders.errors import EmptySideError, NotRepresentableError
 from cporders.flips import (
     CriticalPair,
     critical_pairs,
-    empty_pair_flippable,
     flip,
+    flip_neighbors,
     flippable_pairs,
     is_flippable,
-    neighbors,
 )
 from cporders.orders import (
     ComparativeOrder,
@@ -48,7 +47,7 @@ class TestCriticalPairs:
     def test_ranks_are_consecutive(self, lex4):
         for pair in critical_pairs(lex4):
             assert lex4.rank(pair.b) == lex4.rank(pair.a) + 1
-            assert pair.a.isdisjoint(pair.b)
+            assert pair.a.mask & pair.b.mask == 0
 
 
 class TestIsFlippable:
@@ -62,7 +61,7 @@ class TestIsFlippable:
             order = order_from_utilities(utilities)
             half = (1 << order.n) // 2
             pair = CriticalPair(order.subset_at(half - 1), order.subset_at(half), half - 1)
-            assert pair.a.isdisjoint(pair.b)
+            assert pair.a.mask & pair.b.mask == 0
             assert is_flippable(order, pair)
 
     def test_lex4_examples(self, lex4):
@@ -127,10 +126,12 @@ class TestFlip:
         order = order_from_utilities(maclagan_utilities(n)) if n > 3 else order_from_utilities(
             lexicographic_utilities(n)
         )
-        for fp in flippable_pairs(order):
-            if fp.a.mask == 0:
-                continue
-            assert validate_order(flip(order, fp)).ok
+        for _, neighbor in flip_neighbors(order):
+            assert validate_order(neighbor).ok
+
+
+def neighbors(order):
+    return [neighbor for _, neighbor in flip_neighbors(order)]
 
 
 class TestNeighbors:
@@ -146,6 +147,15 @@ class TestNeighbors:
         eligible = [fp for fp in flippable_pairs(order) if fp.a.mask != 0]
         assert len(neighbors(order)) == len(eligible)
         assert len(eligible) in (7, 8)
+
+    def test_lazy_pairs_and_flips(self, lex4):
+        walk = flip_neighbors(lex4)
+        assert iter(walk) is walk
+        pairs = []
+        for fp, neighbor in walk:
+            assert neighbor == flip(lex4, fp)
+            pairs.append(fp)
+        assert pairs == [fp for fp in flippable_pairs(lex4) if fp.a.mask != 0]
 
 
 class TestFacetCount:
@@ -183,6 +193,9 @@ class TestTheorem2Bijection:
 
 
 def test_empty_pair_flippable_examples(lex3):
-    assert empty_pair_flippable(lex3)
+    empty_pair = critical_pairs(lex3)[0]
+    assert empty_pair.a.mask == 0 and is_flippable(lex3, empty_pair)
+    # it has no flip, so facet_count counts it by itself: 2 neighbours + 1
+    assert facet_count(lex3) == len(neighbors(lex3)) + 1
     order = order_from_utilities((2, 3, 4, 8))
-    assert empty_pair_flippable(order) == is_flippable(order, critical_pairs(order)[0])
+    assert not is_flippable(order, critical_pairs(order)[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cporders.census import relabel_order
 from cporders.errors import LengthMismatchError, NotNeighborsError, TieError, VerificationError
-from cporders.flips import flippable_pairs, neighbors
+from cporders.flips import flip_neighbors, flippable_pairs
 from cporders.lp import Feasibility, solve_feasibility
 from cporders.orders import (
     ComparativeOrder,
@@ -271,13 +271,13 @@ class TestWitnessHint:
 class TestFriendly:
     def test_lex3_neighbors_friendly(self):
         order = order_from_utilities(lexicographic_utilities(3))
-        for other in neighbors(order):
+        for _, other in flip_neighbors(order):
             assert friendly(order, other)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_construction_flips_friendly(self, n):
         order = order_from_utilities(maclagan_utilities(n))
-        for other in neighbors(order):
+        for _, other in flip_neighbors(order):
             assert friendly(order, other)
 
     def test_not_neighbors_raises(self):
