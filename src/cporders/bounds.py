@@ -48,7 +48,8 @@ def gh_counts(n: int) -> GHCounts:
     q = q_value(n)
 
     def pairs_at_gap(gap: int) -> int:
-        assert gap % 2 == 0
+        if gap % 2:
+            raise VerificationError(f"gap {gap} is odd; doubled weights give even gaps only")
         d = gap // 2
         top = 1 << n
         return sum(1 for a in range(top - d) if a & (a + d) == 0)

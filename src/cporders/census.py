@@ -23,7 +23,7 @@ from itertools import permutations
 from typing import Optional
 
 from .cones import cone_from_order, irreducible_elements
-from .errors import ResourceError
+from .errors import ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
 from .orders import ComparativeOrder, order_from_line, order_to_line, validate_order
 from .represent import Certificate, is_representable, unfriendly_flips
@@ -322,10 +322,11 @@ def _annotate_edges(census) -> None:
                 row.append((j, None))
                 continue
             perm = singleton_relabeling(neighbor)
-            assert perm != identity
+            if perm == identity:
+                raise VerificationError("flip left the census and has no singleton relabeling")
             j = index.get(relabel_order(neighbor, perm).ranked)
             if j is None:
-                raise AssertionError("flip left the census even after relabeling")
+                raise VerificationError("flip left the census even after relabeling")
             row.append((j, perm))
         edges.append(row)
     census.edges = edges

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import ConeAxiomError
+from .errors import ConeAxiomError, VerificationError
 from .orders import ComparativeOrder, Subset
 
 TernaryVector = tuple[int, ...]
@@ -133,7 +133,8 @@ class DiscreteCone:
                 if neg == 0:
                     break
                 neg = (neg - 1) & rest
-        assert count == 3**n
+        if count != 3**n:
+            raise VerificationError(f"D2 scan visited {count} vectors, not 3^{n}")
         return True
 
     def check_d3_exhaustive(self) -> bool:
@@ -223,7 +224,8 @@ def irreducible_elements(cone: DiscreteCone) -> frozenset[TernaryVector]:
     n = cone.n
     packed = cone.packed_members()
     basis = [(1 << i) << n for i in range(n)]
-    others = sorted(p for p in packed if p not in set(basis) and p != 0)
+    skip = {0, *basis}
+    others = sorted(p for p in packed if p not in skip)
     members = basis + others
     result = []
     for w in packed:

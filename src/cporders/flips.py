@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import EmptySideError
+from .errors import EmptySideError, VerificationError
 from .orders import ComparativeOrder, Subset, validate_order
 
 
@@ -120,8 +120,8 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
             break
         d = (d - 1) & comp
     result = ComparativeOrder(order.n, ranked)
-    if __debug__ and order.n <= 5:
-        assert validate_order(result).ok
+    if order.n <= 5 and not validate_order(result).ok:
+        raise VerificationError(f"flip over ({pair.a}, {pair.b}) gave an invalid order")
     return result
 
 

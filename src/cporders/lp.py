@@ -1,24 +1,36 @@
 """Exact rational feasibility solver: phase-1 simplex on a dense tableau.
 
 Decides whether {x >= 0 : A x >= b} is nonempty with integer input data and
-arbitrary-precision rational pivoting, so verdicts carry no rounding error.
-Either verdict comes with its proof: a point x of the set, or Farkas
-multipliers lambda >= 0 with lambda^T A <= 0 and lambda^T b > 0, which no
-x >= 0 can satisfy together with A x >= b.  The multipliers are the final
-phase-1 reduced costs of the surplus columns, so they cost no extra pivot.
-Uses gmpy2 rationals when available (several times faster), plain Fractions
-otherwise.  Dantzig pricing with an automatic switch to Bland's rule after a
-run of degenerate pivots guarantees termination.
+exact arithmetic, so verdicts carry no rounding error.  Either verdict comes
+with its proof: a point x of the set, or Farkas multipliers lambda >= 0 with
+lambda^T A <= 0 and lambda^T b > 0, which no x >= 0 can satisfy together
+with A x >= b.  The multipliers are the final phase-1 reduced costs of the
+surplus columns, so they cost no extra pivot.
+
+The tableau is integer-preserving (Edmonds 1967; Bareiss 1968): the
+tableau, the reduced costs and the objective are Python ints over one
+common positive denominator d, the previous pivot, which starts at 1.
+Pivoting on entry p = T[r][c] > 0 leaves row r as it is and maps every
+other row to (p*x - T[i][c]*y) // d, y running over row r; the reduced-cost
+row, which carries minus the objective in its last slot, is updated the
+same way; then d = p.  Every entry equals det(B) times the rational entry
+of the basis B's tableau, an integer because det(B) B^-1 is the adjugate,
+and det(B) is the product of the true pivots, which is the new d.  So each
+division leaves no remainder, and d stays positive because the ratio test
+only picks positive pivots.  No Fraction is built until the answer is read
+off, and no gcd is taken while pivoting.  There is one numeric path: plain
+Python ints, no gmpy2.
+
+Dantzig pricing with an automatic switch to Bland's rule after a run of
+degenerate pivots guarantees termination.  All entries share the scale d,
+so prices and ratios (compared by cross-multiplying) pick the same pivots
+as a tableau of rationals would.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
-
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-    from fractions import Fraction as _rational
 
 _DEGENERATE_LIMIT = 50
 _MAX_PIVOTS = 200_000
@@ -27,7 +39,7 @@ _MAX_PIVOTS = 200_000
 class Feasibility(NamedTuple):
     """Outcome of :func:`solve_feasibility`; exactly one field is not None."""
 
-    solution: Optional[list]  # rationals x >= 0 with A x >= b
+    solution: Optional[list]  # Fractions x >= 0 with A x >= b
     farkas: Optional[list]  # one multiplier per row: lambda >= 0, lambda^T A <= 0, lambda^T b > 0
 
 
@@ -40,8 +52,6 @@ def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feas
     if m == 0:
         return Feasibility([], None)
     n = len(rows[0])
-    zero = _rational(0)
-    one = _rational(1)
 
     # Columns: n structural, m slack/surplus, then one artificial per row
     # with positive right-hand side.  Rows with rhs <= 0 are negated so the
@@ -50,38 +60,33 @@ def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feas
     ncols = n + m + len(art_rows)
     tableau = []
     basis = []
-    art_index = {}
     for i in range(m):
-        row = [zero] * (ncols + 1)
+        row = [0] * (ncols + 1)
         if rhs[i] > 0:
-            for j, coeff in enumerate(rows[i]):
-                row[j] = _rational(coeff)
-            row[n + i] = -one
-            art_col = n + m + len(art_index)
-            art_index[i] = art_col
-            row[art_col] = one
-            row[ncols] = _rational(rhs[i])
+            row[:n] = rows[i]
+            row[n + i] = -1
+            art_col = n + m + art_rows.index(i)
+            row[art_col] = 1
+            row[ncols] = rhs[i]
             basis.append(art_col)
         else:
-            for j, coeff in enumerate(rows[i]):
-                row[j] = _rational(-coeff)
-            row[n + i] = one
-            row[ncols] = _rational(-rhs[i])
+            row[:n] = [-v for v in rows[i]]
+            row[n + i] = 1
+            row[ncols] = -rhs[i]
             basis.append(n + i)
         tableau.append(row)
 
     # Phase-1 objective: minimize the artificial sum.  Reduced costs for the
-    # initial basis are minus the column sums over artificial rows.
-    reduced = [zero] * ncols
-    objective = zero
+    # initial basis are minus the column sums over artificial rows (zero on
+    # the artificial columns themselves); the last slot holds minus the
+    # objective, so the whole row pivots like a tableau row.
+    cost = [0] * (ncols + 1)
     for i in art_rows:
-        row = tableau[i]
-        for j in range(ncols):
-            reduced[j] -= row[j]
-        objective += row[ncols]
-    for col in art_index.values():
-        reduced[col] = zero
+        for j, v in enumerate(tableau[i]):
+            cost[j] -= v
+    cost[n + m : ncols] = [0] * len(art_rows)
 
+    d = 1
     bland = False
     degenerate_run = 0
     for _ in range(_MAX_PIVOTS):
@@ -89,34 +94,33 @@ def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feas
         enter = -1
         if bland:
             for j in range(ncols):
-                if reduced[j] < zero:
+                if cost[j] < 0:
                     enter = j
                     break
         else:
-            best = zero
+            best = 0
             for j in range(ncols):
-                if reduced[j] < best:
-                    best = reduced[j]
+                if cost[j] < best:
+                    best = cost[j]
                     enter = j
         if enter < 0:
             break  # optimal
-        # ratio test; ties go to the smallest basis index (Bland-safe)
+        # ratio test b_i / a_i, compared as b_i * a_best < b_best * a_i;
+        # ties go to the smallest basis index (Bland-safe)
         leave = -1
-        best_ratio = None
         for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > zero:
-                ratio = tableau[i][ncols] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+            a = tableau[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave, a_best, b_best = i, a, tableau[i][ncols]
+                    continue
+                b = tableau[i][ncols]
+                here, there = b * a_best, b_best * a
+                if here < there or (here == there and basis[i] < basis[leave]):
+                    leave, a_best, b_best = i, a, b
         if leave < 0:
             raise RuntimeError("phase-1 objective unbounded below; input corrupt")
-        if best_ratio == zero:
+        if b_best == 0:
             degenerate_run += 1
             if degenerate_run >= _DEGENERATE_LIMIT:
                 bland = True
@@ -124,36 +128,25 @@ def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feas
             degenerate_run = 0
 
         pivot_row = tableau[leave]
-        pivot = pivot_row[enter]
-        if pivot != one:
-            inv = one / pivot
-            for j in range(ncols + 1):
-                if pivot_row[j]:
-                    pivot_row[j] *= inv
-        for i in range(m):
-            if i == leave:
+        p = a_best
+        for row in tableau + [cost]:
+            if row is pivot_row:
                 continue
-            factor = tableau[i][enter]
-            if factor:
-                row = tableau[i]
-                for j in range(ncols + 1):
-                    if pivot_row[j]:
-                        row[j] -= factor * pivot_row[j]
-        factor = reduced[enter]
-        if factor:
-            for j in range(ncols):
-                if pivot_row[j]:
-                    reduced[j] -= factor * pivot_row[j]
-            objective += factor * pivot_row[ncols]
+            f = row[enter]
+            if f:
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+            elif p != d:
+                row[:] = [p * x // d for x in row]
+        d = p
         basis[leave] = enter
     else:
         raise RuntimeError("simplex pivot limit exceeded")
 
-    if objective != zero:
+    if cost[ncols] != 0:
         # reduced cost of surplus column i = multiplier of row i (see module doc)
-        return Feasibility(None, reduced[n : n + m])
-    solution = [zero] * n
+        return Feasibility(None, [Fraction(v, d) for v in cost[n : n + m]])
+    solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = tableau[i][ncols]
+            solution[var] = Fraction(tableau[i][ncols], d)
     return Feasibility(solution, None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DuplicateError, NotSortedError, TieError
+from .errors import DuplicateError, NotSortedError, TieError, VerificationError
 from .sequences import q_value
 
 MAX_ATOMS = 16
@@ -293,7 +293,8 @@ def maclagan_utilities(n: int) -> tuple[int, ...]:
         raise ValueError(f"base atom count must be in 3..{MAX_ATOMS - 1}, got {n}")
     doubled = tuple(2 << i for i in range(n))
     merged = insert_utility(doubled, q_value(n).q)
-    assert merged.index(q_value(n).q) == n - 2  # 0-based; position n-1 among n+1
+    if merged.index(q_value(n).q) != n - 2:  # 0-based; position n-1 among n+1
+        raise VerificationError(f"q_{n} is not inserted at position {n - 1}")
     return merged
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
+from .errors import VerificationError
+
 
 @dataclass(frozen=True)
 class QSequence:
@@ -27,19 +29,17 @@ class QSequence:
 def q_value(n: int) -> QSequence:
     if n < 3:
         raise ValueError(f"q_n is defined for n >= 3, got {n}")
-    numerator = (1 << n) + (-1) ** (n + 1)
-    assert numerator % 3 == 0, "closed form must be an integer"
-    q = numerator // 3
+    q, remainder = divmod((1 << n) + (-1) ** (n + 1), 3)
     # recurrence cross-check from the seeds q_3 = 3, q_4 = 5
     a, b = 3, 5
     for _ in range(n - 4):
         a, b = b, b + 2 * a
     rec = a if n == 3 else b
-    assert q == rec, f"closed form and recurrence disagree at n={n}"
-    # congruences mod 4 for q and its neighbours
-    assert q % 4 == (2 + (-1) ** (n + 1)) % 4
-    assert (q - 1) % 4 == (1 + (-1) ** (n + 1)) % 4
-    assert (q + 1) % 4 == (3 + (-1) ** (n + 1)) % 4
+    if remainder or q != rec:
+        raise VerificationError(f"closed form and recurrence disagree at n={n}")
+    # q = 2 + (-1)^(n+1) (mod 4); q - 1 and q + 1 follow by shifting
+    if (q - 2 - (-1) ** (n + 1)) % 4:
+        raise VerificationError(f"q_{n} breaks its congruence mod 4")
     return QSequence(n, q, q - 1, q + 1)
 
 

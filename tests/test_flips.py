@@ -3,7 +3,7 @@
 import pytest
 
 from cporders.cones import cone_from_order, irreducible_elements
-from cporders.errors import EmptySideError, NotRepresentableError
+from cporders.errors import EmptySideError, NotRepresentableError, VerificationError
 from cporders.flips import (
     CriticalPair,
     critical_pairs,
@@ -17,6 +17,7 @@ from cporders.orders import (
     Subset,
     lexicographic_utilities,
     maclagan_utilities,
+    ValidationReport,
     order_from_utilities,
     validate_order,
 )
@@ -113,6 +114,13 @@ class TestFlip:
     def test_empty_side_rejected(self, lex3):
         fp = next(p for p in flippable_pairs(lex3) if p.a.mask == 0)
         with pytest.raises(EmptySideError):
+            flip(lex3, fp)
+
+    def test_invalid_flip_result_raises(self, monkeypatch, lex3):
+        # the self-check is a raise, so it also holds under python -O
+        monkeypatch.setattr("cporders.flips.validate_order", lambda order: ValidationReport(False))
+        fp = next(p for p in flippable_pairs(lex3) if p.a.to_text() == "1")
+        with pytest.raises(VerificationError):
             flip(lex3, fp)
 
     def test_changed_ranks_exactly(self, lex3):

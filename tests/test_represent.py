@@ -64,6 +64,56 @@ class TestSolveFeasibility:
         assert result.solution is None
         assert_farkas(rows, rhs, result.farkas)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_certificate_holds_on_random_small_systems(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 6), label="n")
+        entry = st.integers(-3, 3)
+        row = st.lists(entry, min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=m, max_size=m), label="rows")
+        rhs = data.draw(st.lists(entry, min_size=m, max_size=m), label="rhs")
+        x, farkas = solve_feasibility(rows, rhs)
+        if farkas is None:
+            assert len(x) == n and all(v >= 0 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) >= b for row, b in zip(rows, rhs))
+        else:
+            assert x is None
+            assert_farkas(rows, rhs, farkas)
+
+    def test_pivot_path_gives_the_same_certificates(self):
+        # pivot order pins which vertex the solver lands on, so these exact
+        # utility vectors only come back if the pivot sequence is unchanged
+        assert is_representable(order_from_utilities(lexicographic_utilities(5))).utilities == (
+            1, 2, 4, 8, 16,
+        )
+        rng = random.Random(7)
+        utilities = tuple(sorted(rng.sample(range(100, 40000), 8)))
+        assert is_representable(order_from_utilities(utilities)).utilities == (
+            36, 54, 70, 111, 238, 267, 289, 392,
+        )
+        assert is_representable(order_from_utilities(maclagan_utilities(6))).utilities == (
+            2, 4, 8, 16, 21, 32, 64,
+        )
+
+    def test_bland_switch_keeps_verdicts(self, monkeypatch, n4_census, n5_census):
+        # Gordan rows have rhs 0, so the first pivots are degenerate and a
+        # limit of 1 switches to Bland's rule at once
+        cases = list(zip(n4_census.orders, n4_census.representable))
+        cases += list(zip(n5_census.orders, n5_census.representable))[::10]
+        default = [is_representable(order) for order, _ in cases]
+        monkeypatch.setattr("cporders.lp._DEGENERATE_LIMIT", 1)
+        changed = 0
+        for (order, flag), before in zip(cases, default):
+            cert = is_representable(order)  # raises unless its certificate checks
+            assert cert.representable == before.representable == flag
+            if flag:
+                assert order_from_utilities(cert.utilities) == order
+            else:
+                assert check_trading_transform(cert.transform, order)
+            changed += cert.to_json() != before.to_json()
+        assert changed, "Bland's rule never changed a pivot path"
+
 
 class TestIsRepresentable:
     def test_lexicographic_n5(self):
