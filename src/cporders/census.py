@@ -508,12 +508,18 @@ def read_census(path) -> OrderCensus:
     rep: list = []
     irr: list = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
-            orders.append(order_from_line(record["order"]))
+            order = order_from_line(record["order"])
+            if orders and order.n != orders[0].n:
+                raise ValueError(
+                    f"{path}:{number}: census record has n={order.n}, "
+                    f"earlier records have n={orders[0].n}"
+                )
+            orders.append(order)
             rep.append(record.get("representable"))
             irr.append(record.get("irr"))
     if not orders:

@@ -10,6 +10,7 @@ identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -170,7 +171,7 @@ def cmd_enumerate(args) -> int:
             with_flags=not args.no_flags,
             budget=args.budget,
             checkpoint_path=args.checkpoint,
-            threads=args.threads,
+            threads=_threads(args),
         )
     except ResourceError as exc:
         done = len(exc.partial.orders) if exc.partial is not None else 0
@@ -254,7 +255,7 @@ def cmd_verify_fibonacci(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    results = run_all(threads=args.threads, n6_budget=args.n6_budget)
+    results = run_all(threads=_threads(args), n6_budget=args.n6_budget)
     payload = {
         "results": [
             {
@@ -274,7 +275,11 @@ def cmd_repro(args) -> int:
     return EXIT_OK if all(r.passed or r.skipped for r in results) else EXIT_VERIFY_FAIL
 
 
-def _threads_default() -> int:
+def _threads(args) -> int:
+    """``--threads`` if given, else ``CPOL_THREADS`` as it is when the
+    command runs (the parser is built once per process)."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("CPOL_THREADS")
     try:
         return max(1, int(env)) if env else 1
@@ -282,7 +287,10 @@ def _threads_default() -> int:
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process and shared by every main() call, so defaults
+    # that depend on the environment are resolved by the commands instead
     parser = argparse.ArgumentParser(
         prog="cporders",
         description="comparative probability orders: flips, cones, representability, bounds",
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if threads:
             p.add_argument(
-                "--threads", type=int, default=_threads_default(),
+                "--threads", type=int, default=None,
                 help="worker pool size (env CPOL_THREADS)",
             )
         if order_file:

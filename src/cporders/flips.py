@@ -120,6 +120,9 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
             break
         d = (d - 1) & comp
     result = ComparativeOrder(order.n, ranked)
+    # capped at 5 atoms: validate_order makes n passes over the order, which
+    # at 12 atoms still costs more than a flip plus the hint check of the
+    # neighbour it yields, and verify-fibonacci flips every flippable pair
     if order.n <= 5 and not validate_order(result).ok:
         raise VerificationError(f"flip over ({pair.a}, {pair.b}) gave an invalid order")
     return result

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import lt
 from typing import Optional, Sequence
 
 from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError
@@ -85,8 +86,10 @@ class Certificate:
 def _violations(order: ComparativeOrder, utilities: Sequence[int]) -> list[int]:
     """Gaps k where the candidate fails strictness: u(S_{k+1}) <= u(S_k)."""
     sums = subset_sums(utilities)
-    ranked = order.ranked
-    return [k for k in range(len(ranked) - 1) if sums[ranked[k + 1]] <= sums[ranked[k]]]
+    along = list(map(sums.__getitem__, order.ranked))
+    if all(map(lt, along, along[1:])):
+        return []
+    return [k for k in range(len(along) - 1) if along[k + 1] <= along[k]]
 
 
 def _scale_to_integers(values) -> tuple[int, ...]:

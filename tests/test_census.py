@@ -158,6 +158,16 @@ class TestPersistence:
         assert loaded.irr_counts == n4_census.irr_counts
         assert census_stats(loaded).max_facets == 5
 
+    def test_mixed_atom_counts_rejected(self, n3_census, n4_census, tmp_path):
+        three, four = tmp_path / "census3.ndjson", tmp_path / "census4.ndjson"
+        write_census(n3_census, three)
+        write_census(n4_census, four)
+        records = len(three.read_text().splitlines())
+        mixed = tmp_path / "mixed.ndjson"
+        mixed.write_text(three.read_text() + "\n" + four.read_text())
+        with pytest.raises(ValueError, match=f"mixed.ndjson:{records + 2}: .*n=4.*n=3"):
+            read_census(mixed)
+
     def test_checkpoint_resume(self, tmp_path):
         check = tmp_path / "flags3.ndjson"
         first = enumerate_orders(3, checkpoint_path=check)

@@ -166,6 +166,18 @@ class TestEnumerateAndStats:
         assert code == 0
         assert json.loads(out)["m"] == 5
 
+    def test_stats_rejects_mixed_atom_counts(self, capsys, tmp_path):
+        path = tmp_path / "mixed.ndjson"
+        code, _ = run(capsys, ["enumerate", "--n", "3", "--no-flags", "--out", str(path)])
+        assert code == 0
+        four = tmp_path / "four.ndjson"
+        code, _ = run(capsys, ["enumerate", "--n", "4", "--no-flags", "--out", str(four)])
+        assert code == 0
+        with path.open("a") as fh:
+            fh.write(four.read_text())
+        assert main(["stats", "--in", str(path)]) == 1
+        assert "n=4" in capsys.readouterr().err
+
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4
 
@@ -199,6 +211,28 @@ class TestUsage:
     def test_threads_only_where_used(self, capsys, lex3_file):
         assert main(["flips", "--order-file", str(lex3_file), "--threads", "2"]) == 1
         assert main(["enumerate", "--n", "3", "--threads", "2"]) == 0
+
+    def test_threads_default_read_per_call(self, monkeypatch):
+        # the parser is built once; CPOL_THREADS is read when the command runs
+        import cporders.cli
+
+        seen = []
+        real = cporders.cli.enumerate_orders
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cporders.cli, "enumerate_orders", spy)
+        monkeypatch.setenv("CPOL_THREADS", "3")
+        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
+        monkeypatch.setenv("CPOL_THREADS", "2")
+        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
+        monkeypatch.delenv("CPOL_THREADS")
+        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
+        assert main(["enumerate", "--n", "3", "--no-flags", "--threads", "4"]) == 0
+        assert seen == [3, 2, 1, 4]
+        assert cporders.cli.build_parser() is cporders.cli.build_parser()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

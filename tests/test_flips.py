@@ -1,9 +1,11 @@
 """Critical pairs, flippability, the flip operation, and facet counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cporders.cones import cone_from_order, irreducible_elements
-from cporders.errors import EmptySideError, NotRepresentableError, VerificationError
+from cporders.errors import EmptySideError, NotRepresentableError, TieError, VerificationError
 from cporders.flips import (
     CriticalPair,
     critical_pairs,
@@ -136,6 +138,35 @@ class TestFlip:
         )
         for _, neighbor in flip_neighbors(order):
             assert validate_order(neighbor).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.integers(1, 500), min_size=n, max_size=n)
+    ),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+)
+def test_flip_keeps_validity_and_is_an_involution(entries, choices):
+    # a short random walk in the flip graph from a random-utility order, so
+    # nonrepresentable orders are flipped too; flip itself self-validates
+    # only up to 5 atoms, so validity is checked here
+    try:
+        order = order_from_utilities(entries)
+    except TieError:
+        order = order_from_utilities(lexicographic_utilities(len(entries)))
+    for choice in choices:
+        pairs = [fp for fp in flippable_pairs(order) if fp.a.mask != 0]
+        if not pairs:
+            break
+        fp = pairs[choice % len(pairs)]
+        flipped = flip(order, fp)
+        assert validate_order(flipped).ok
+        image = next(
+            p for p in flippable_pairs(flipped) if (p.a, p.b) == (fp.b, fp.a)
+        )
+        assert flip(flipped, image) == order
+        order = flipped
 
 
 def neighbors(order):

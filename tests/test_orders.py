@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cporders.errors import DuplicateError, NotSortedError, TieError
+from cporders.errors import DuplicateError, NotSortedError, TieError, VerificationError
 from cporders.orders import (
     ComparativeOrder,
     Subset,
@@ -51,6 +51,24 @@ class TestSubset:
             Subset.from_text("1,1", 3)
         with pytest.raises(ValueError):
             Subset.from_text("4", 3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,x", "cannot parse subset '1,x'"),
+            ("9,x", "cannot parse subset '9,x'"),
+            ("4,4", "repeated atom in subset '4,4'"),
+            ("1,1", "repeated atom in subset '1,1'"),
+            ("2,4", r"atom 4 outside universe \[1..3\]"),
+            ("0", r"atom 0 outside universe \[1..3\]"),
+        ],
+    )
+    def test_text_errors_parse_then_repeat_then_range(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Subset.from_text(text, 3)
+        lines = order_to_lines(order_from_utilities((1, 2, 4)))
+        with pytest.raises(ValueError, match=message):
+            order_from_lines(lines[:2] + [text] + lines[3:])
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -109,6 +127,19 @@ class TestValidateOrder:
         report = validate_order(ComparativeOrder(2, (1, 0, 2, 3)))
         assert not report.ok
         assert report.empty_set_witness is not None
+
+    def test_scan_guards_the_linear_check(self, monkeypatch):
+        # the linear check fails on this order; a scan that then finds no
+        # triple is a contradiction, not a pass
+        lex = order_from_utilities((1, 2, 4))
+        ranked = list(lex.ranked)
+        ranked[1], ranked[2] = ranked[2], ranked[1]
+        ranked[3], ranked[4] = ranked[4], ranked[3]
+        broken = ComparativeOrder(3, ranked)
+        assert not validate_order(broken).ok
+        monkeypatch.setattr("cporders.orders._first_violation", lambda order: None)
+        with pytest.raises(VerificationError):
+            validate_order(broken)
 
     def test_positions_invert_ranks(self):
         order = order_from_utilities((3, 5, 9, 18))
@@ -236,3 +267,63 @@ def test_scaling_leaves_order_unchanged(entries, factor):
         return
     scaled = order_from_utilities(tuple(v * factor for v in entries))
     assert scaled == order
+
+
+def _union_consistent_by_brute_force(order):
+    """Empty set first and, for every X, Y and every C disjoint from X|Y,
+    X < Y exactly when X|C < Y|C."""
+    full = 1 << order.n
+    pos = order.position
+    if pos[0] != 0:
+        return False
+    for x in range(full):
+        for y in range(full):
+            rest = ~(x | y) & (full - 1)
+            for c in range(full):
+                if c & ~rest == 0 and (pos[x] < pos[y]) != (pos[x | c] < pos[y | c]):
+                    return False
+    return True
+
+
+@st.composite
+def perturbed_orders(draw, max_atoms=5):
+    """A random-utility order with a few adjacent ranks swapped (the swap
+    may move the empty set)."""
+    n = draw(st.integers(1, max_atoms))
+    entries = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    try:
+        order = order_from_utilities(entries)
+    except TieError:
+        order = order_from_utilities(lexicographic_utilities(n))
+    ranked = list(order.ranked)
+    for k in draw(st.lists(st.integers(0, len(ranked) - 2), max_size=3)):
+        ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
+    return ComparativeOrder(n, ranked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_orders())
+def test_validate_order_matches_brute_force(order):
+    report = validate_order(order)
+    assert report.ok == _union_consistent_by_brute_force(order)
+    if report.ok:
+        return
+    pos = order.position
+    if report.empty_set_witness is not None:
+        assert report.triple is None and pos[0] != 0
+        assert report.empty_set_witness.mask == order.ranked[0]
+        return
+    a, b, c = (s.mask for s in report.triple)
+    assert c & (a | b) == 0
+    assert pos[a] < pos[b] and not pos[a | c] < pos[b | c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+))
+def test_subset_sums_match_per_mask_sums(entries):
+    sums = subset_sums(entries)
+    assert len(sums) == 1 << len(entries)
+    for mask, total in enumerate(sums):
+        assert total == sum(u for i, u in enumerate(entries) if mask >> i & 1)
