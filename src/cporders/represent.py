@@ -83,13 +83,11 @@ class Certificate:
         return out
 
 
-def _violations(order: ComparativeOrder, utilities: Sequence[int]) -> list[int]:
-    """Gaps k where the candidate fails strictness: u(S_{k+1}) <= u(S_k)."""
+def _increasing_along(order: ComparativeOrder, utilities: Sequence[int]) -> bool:
+    """Whether the utility sums strictly increase along the order's ranking."""
     sums = subset_sums(utilities)
     along = list(map(sums.__getitem__, order.ranked))
-    if all(map(lt, along, along[1:])):
-        return []
-    return [k for k in range(len(along) - 1) if along[k + 1] <= along[k]]
+    return all(map(lt, along, along[1:]))
 
 
 def _scale_to_integers(values) -> tuple[int, ...]:
@@ -133,7 +131,7 @@ def is_representable(
         if (
             len(candidate) == n
             and all(v > 0 for v in candidate)
-            and not _violations(order, candidate)
+            and _increasing_along(order, candidate)
         ):
             if order_from_utilities(candidate) != order:
                 raise VerificationError("hint passes every gap but does not re-derive the order")
@@ -143,7 +141,7 @@ def is_representable(
     if result.solution is None:
         lam = result.farkas
         utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
-        if _violations(order, utilities) or order_from_utilities(utilities) != order:
+        if not _increasing_along(order, utilities) or order_from_utilities(utilities) != order:
             raise VerificationError(f"Farkas utilities {utilities} do not re-derive the order")
         return Certificate("representable", utilities=utilities)
 
