@@ -63,10 +63,9 @@ class BoundReport:
     fib_lower: int
     s_star: int
     count_upper: int
-    entropy_rate: Optional[float] = None
 
 
-def upper_bound(n: int, c=None) -> BoundReport:
+def upper_bound(n: int) -> BoundReport:
     """Adjacency-budget upper bound: the least s with
     sum_{i<=s} 2^i C(n,i) >= 2^n - 1 caps flippable pairs by
     sum_{i<=s} C(n,i); paired with the Fibonacci lower bound F_{n+1}."""
@@ -79,11 +78,7 @@ def upper_bound(n: int, c=None) -> BoundReport:
         weighted += (1 << s) * comb(n, s)
         plain += comb(n, s)
         if weighted >= target:
-            rate = None
-            if c is not None:
-                bound = entropy_bound(n, c)
-                rate = float(Fraction(bound.rate_lower + bound.rate_upper) / 2)
-            return BoundReport(n, fibonacci(n + 1), s, plain, rate)
+            return BoundReport(n, fibonacci(n + 1), s, plain)
     raise AssertionError("unreachable: the full sum is 3^n >= 2^n - 1")
 
 

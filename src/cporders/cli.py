@@ -30,6 +30,7 @@ from .orders import (
     order_to_line,
     order_to_lines,
     read_order,
+    write_order,
 )
 from .represent import (
     TradingTransform,
@@ -67,8 +68,7 @@ def cmd_construct(args) -> int:
         utilities = tuple(int(tok) for tok in args.utilities.split(","))
     order = order_from_utilities(utilities)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(order_to_lines(order)) + "\n")
+        write_order(order, args.out)
     payload = {
         "n": order.n,
         "utilities": list(utilities),

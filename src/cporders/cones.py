@@ -56,9 +56,8 @@ def characteristic_vector(a: Subset, b: Subset) -> TernaryVector:
     """
     if a.n != b.n:
         raise ValueError("subsets live in different universes")
-    n = a.n
     pos, neg = b.mask & ~a.mask, a.mask & ~b.mask
-    return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(n))
+    return unpack_ternary(pos << a.n | neg, a.n)
 
 
 class DiscreteCone:
@@ -92,10 +91,6 @@ class DiscreteCone:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteCone is immutable")
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[TernaryVector], n: int) -> "DiscreteCone":
-        return cls(n, (pack_ternary(v, n) for v in vectors))
 
     def __len__(self) -> int:
         return len(self._packed)
@@ -154,14 +149,6 @@ class DiscreteCone:
                     return False
         return True
 
-    def check_axioms(self, exhaustive: bool = True) -> None:
-        """Raise ConeAxiomError unless D1-D3 hold (D2/D3 scans optional)."""
-        if exhaustive:
-            if not self.check_d2_exhaustive():
-                raise ConeAxiomError("D2 fails: some +- pair is double- or un-covered")
-            if not self.check_d3_exhaustive():
-                raise ConeAxiomError("D3 fails: a ternary member sum escapes the cone")
-
 
 def cone_from_order(order: ComparativeOrder) -> DiscreteCone:
     """The cone {chi(A,B) : A <= B} of a comparative probability order.
@@ -193,14 +180,15 @@ def cone_from_order(order: ComparativeOrder) -> DiscreteCone:
 def _is_reducible(w: int, members: list[int], packed: frozenset[int], n: int) -> bool:
     """Whether w = u + v for members u, v both different from w.
 
-    Excluding u in {0, w} is enough: u = 0 forces v = w and vice versa.
+    ``members`` never holds 0, so only u = w, which forces v = 0, is
+    skipped; excluding it also excludes v = w, since v = w forces u = 0.
     Works on packed vectors: v = w - u stays ternary iff no coordinate of u
     has the opposite sign magnitude exceeded, checked with two mask tests.
     """
     low = (1 << n) - 1
     wp, wn = w >> n, w & low
     for u in members:
-        if u == 0 or u == w:
+        if u == w:
             continue
         up, un = u >> n, u & low
         # v_i = w_i - u_i must lie in {-1,0,1}: forbidden exactly when

@@ -12,7 +12,7 @@ nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import EmptySideError, VerificationError
 from .orders import ComparativeOrder, Subset, validate_order
@@ -70,26 +70,35 @@ def critical_pairs(order: ComparativeOrder) -> list[CriticalPair]:
     return out
 
 
-def is_flippable(order: ComparativeOrder, pair: CriticalPair) -> bool:
-    """Every translate (A|D, B|D) with D disjoint from A|B must be adjacent."""
+def _translate_ranks(order: ComparativeOrder, pair: CriticalPair) -> Optional[list[int]]:
+    """Rank of A|D for every D inside the complement of A|B, or None as
+    soon as some translate (A|D, B|D) is not adjacent."""
     pos = order.position
     a, b = pair.a.mask, pair.b.mask
     comp = ~(a | b) & ((1 << order.n) - 1)
+    ranks = []
     d = comp
-    while d:
-        if pos[b | d] != pos[a | d] + 1:
-            return False
+    while True:
+        k = pos[a | d]
+        if pos[b | d] != k + 1:
+            return None
+        ranks.append(k)
+        if d == 0:
+            return ranks
         d = (d - 1) & comp
-    return pos[b] == pos[a] + 1
+
+
+def is_flippable(order: ComparativeOrder, pair: CriticalPair) -> bool:
+    """Every translate (A|D, B|D) with D disjoint from A|B must be adjacent."""
+    return _translate_ranks(order, pair) is not None
 
 
 def flippable_pairs(order: ComparativeOrder) -> list[FlippablePair]:
-    full = (1 << order.n) - 1
     out = []
     for pair in critical_pairs(order):
-        if is_flippable(order, pair):
-            r = (full & ~(pair.a.mask | pair.b.mask)).bit_count()
-            out.append(FlippablePair(pair, 1 << r))
+        ranks = _translate_ranks(order, pair)
+        if ranks is not None:
+            out.append(FlippablePair(pair, len(ranks)))
     return out
 
 
@@ -106,19 +115,12 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
             f"cannot flip ({pair.a.to_text()}, {pair.b.to_text()}): "
             "the empty set must stay strictly first"
         )
-    if not is_flippable(order, pair):
+    ranks = _translate_ranks(order, pair)
+    if ranks is None:
         raise ValueError(f"pair ({pair.a}, {pair.b}) is not flippable for this order")
-    pos = order.position
-    a, b = pair.a.mask, pair.b.mask
-    comp = ~(a | b) & ((1 << order.n) - 1)
     ranked = list(order.ranked)
-    d = comp
-    while True:
-        k = pos[a | d]
+    for k in ranks:
         ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
-        if d == 0:
-            break
-        d = (d - 1) & comp
     result = ComparativeOrder(order.n, ranked)
     # capped at 5 atoms: validate_order makes n passes over the order, which
     # at 12 atoms still costs more than a flip plus the hint check of the

@@ -1,6 +1,11 @@
-"""Subsets of [n] as bitmasks, comparative probability orders, and the
-classic integer-utility constructions (binary/lexicographic weights, odd-value
-insertion) used to build orders with many flippable pairs.
+"""Subsets of [n] as bitmasks, comparative probability orders, their
+validation, and the classic integer-utility constructions
+(binary/lexicographic weights, odd-value insertion) used to build orders
+with many flippable pairs.
+
+An order is validated by single-atom monotonicity: union consistency holds
+iff S -> S|{c} is increasing for every atom c, and the first atom map that
+is not names a violating triple.
 
 Atoms are labelled 1..n; atom i corresponds to bit i-1 of a mask.  Everything
 is exact integer arithmetic; n is capped at 16 so a subset always fits a
@@ -40,10 +45,6 @@ class Subset:
     def from_atoms(cls, atoms: Iterable[int], n: int) -> "Subset":
         return cls(_mask_from_atoms(atoms, n), n)
 
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(0, n)
-
     @property
     def atoms(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
@@ -56,12 +57,6 @@ class Subset:
 
     def union(self, other: "Subset") -> "Subset":
         return Subset(self.mask | other.mask, self.n)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        return Subset(self.mask & other.mask, self.n)
-
-    def difference(self, other: "Subset") -> "Subset":
-        return Subset(self.mask & ~other.mask, self.n)
 
     def complement(self) -> "Subset":
         return Subset(~self.mask & ((1 << self.n) - 1), self.n)
@@ -195,8 +190,8 @@ class ValidationReport:
 
     On failure exactly one of ``empty_set_witness`` (some nonempty subset
     ranked at or before the empty set) or ``triple`` is set; ``triple`` is
-    (A, B, C) with C disjoint from A and B, A before B, but A|C not before
-    B|C.
+    (A, B, C) with C a single atom outside A and B, A and B consecutive in
+    rank among the subsets avoiding C, A before B, but A|C after B|C.
     """
 
     ok: bool
@@ -225,54 +220,23 @@ def validate_order(order: ComparativeOrder) -> ValidationReport:
     reached from (A, B) by adding the atoms of D one at a time.  The other
     way: adding c leaves the disjoint reduction (X\\Y, Y\\X) of a pair
     unchanged, so every pair compares as its reduction does.  That is
-    n * 2^(n-1) comparisons; only when one fails does the exhaustive scan
-    run, to name the first violating triple in mask order.
+    n * 2^(n-1) comparisons.  The first atom c whose map is not increasing
+    names the witness: S, T consecutive in rank among the subsets avoiding
+    c with S|c after T|c give the violating triple (S, T, {c}).
     """
+    n = order.n
     pos = order.position
     if pos[0] != 0:
         return ValidationReport(False, empty_set_witness=order.subset_at(0))
     ranked = order.ranked
-    for i in range(order.n):
+    for i in range(n):
         bit = 1 << i
         images = [pos[s | bit] for s in ranked if not s & bit]
         if not all(map(lt, images, images[1:])):
-            break
-    else:
-        return ValidationReport(True)
-    triple = _first_violation(order)
-    if triple is None:
-        raise VerificationError("an atom map is not increasing but no triple violates the axiom")
-    return ValidationReport(False, triple=triple)
-
-
-def _first_violation(order: ComparativeOrder) -> Optional[tuple[Subset, Subset, Subset]]:
-    """First union-consistency violation (A, B, C) in mask order, or None.
-
-    Checking every disjoint pair (A, B) against every translate D of its
-    complement covers all 4^n ordered subset pairs once, because a general
-    pair (X, Y) decomposes as X = A|D, Y = B|D with A = X\\Y, B = Y\\X,
-    D = X & Y.
-    """
-    n = order.n
-    full = 1 << n
-    pos = order.position
-    for a in range(full):
-        comp = ~a & (full - 1)
-        # b runs over nonzero submasks of comp greater than a: each unordered
-        # disjoint pair {a, b} is visited once.
-        b = comp
-        while b:
-            if b > a:
-                ref = pos[a] < pos[b]
-                rest = comp & ~b
-                d = rest
-                while d:
-                    if (pos[a | d] < pos[b | d]) != ref:
-                        lo, hi = (a, b) if ref else (b, a)
-                        return Subset(lo, n), Subset(hi, n), Subset(d, n)
-                    d = (d - 1) & rest
-            b = (b - 1) & comp
-    return None
+            k = next(k for k in range(len(images) - 1) if images[k] > images[k + 1])
+            s, t = [s for s in ranked if not s & bit][k:k + 2]
+            return ValidationReport(False, triple=(Subset(s, n), Subset(t, n), Subset(bit, n)))
+    return ValidationReport(True)
 
 
 def order_from_utilities(utilities: Sequence[int]) -> ComparativeOrder:

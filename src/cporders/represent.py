@@ -22,6 +22,7 @@ from math import gcd, lcm
 from operator import lt
 from typing import Optional, Sequence
 
+from .cones import cone_from_order, unpack_ternary
 from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError
 from .flips import FlippablePair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
@@ -187,32 +188,22 @@ def find_trading_transform(
 ) -> Optional[TradingTransform]:
     """Bounded search for a trading transform with every pair A_i < B_i.
 
-    Only disjoint pairs are considered (intersections can always be removed
-    from a transform), candidates are tried in mask order, and the last slot
-    is filled by dictionary lookup.  A None result proves nothing: the
-    search is bounded by ``k_max``.
+    Candidates are the nonzero members chi(A, B) of the order's cone, one
+    per disjoint pair with A before B (intersections can always be removed
+    from a transform), tried in packed member order; the last slot is
+    filled by dictionary lookup.  Lengths rise from 2 and each is searched
+    exhaustively, so a transform found is of minimal length up to
+    ``k_max``.  A None result proves nothing: the search is bounded by
+    ``k_max``.  The empty set must rank first, as the cone requires
+    (ConeAxiomError otherwise).
     """
     if k_max < 2:
         return None
     n = order.n
-    full = 1 << n
-    pos = order.position
-    vectors: list[tuple[int, ...]] = []
-    pairs: list[tuple[int, int]] = []
-    for a in range(full):
-        comp = ~a & (full - 1)
-        b = comp
-        while b:
-            if b > a:
-                lo, hi = (a, b) if pos[a] < pos[b] else (b, a)
-                vectors.append(
-                    tuple((hi >> i & 1) - (lo >> i & 1) for i in range(n))
-                )
-                pairs.append((lo, hi))
-            b = (b - 1) & comp
-    index_of = {}
-    for idx, vec in enumerate(vectors):
-        index_of.setdefault(vec, idx)  # first (smallest) index is enough
+    low = (1 << n) - 1
+    members = sorted(cone_from_order(order).packed_members() - {0})
+    vectors = [unpack_ternary(p, n) for p in members]
+    index_of = {vec: idx for idx, vec in enumerate(vectors)}
 
     count = len(vectors)
 
@@ -239,8 +230,8 @@ def find_trading_transform(
     for k in range(2, k_max + 1):
         found = search(0, k, zero, [])
         if found is not None:
-            a_sets = tuple(Subset(pairs[i][0], n) for i in found)
-            b_sets = tuple(Subset(pairs[i][1], n) for i in found)
+            a_sets = tuple(Subset(members[i] & low, n) for i in found)
+            b_sets = tuple(Subset(members[i] >> n, n) for i in found)
             transform = TradingTransform(a_sets, b_sets)
             if not check_trading_transform(transform, order):
                 raise VerificationError("search result fails check_trading_transform")

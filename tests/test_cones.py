@@ -99,7 +99,8 @@ class TestConeFromOrder:
     def test_size_formula_and_axioms(self, n):
         cone = cone_from_order(order_from_utilities(lexicographic_utilities(n)))
         assert len(cone) == (3**n - 1) // 2 + 1
-        cone.check_axioms(exhaustive=True)
+        assert cone.check_d2_exhaustive()
+        assert cone.check_d3_exhaustive()
 
     def test_rejects_non_cone(self):
         with pytest.raises(ConeAxiomError):

@@ -117,6 +117,14 @@ class TestFlip:
         fp = next(p for p in flippable_pairs(lex3) if p.a.mask == 0)
         with pytest.raises(EmptySideError):
             flip(lex3, fp)
+        # a critical pair with a nonempty side but a non-adjacent translate
+        # is rejected too: under (2, 4, 5, 8, 16), {4} (8) falls between
+        # {1,3} (7) and {2,3} (9)
+        order = order_from_utilities((2, 4, 5, 8, 16))
+        pair = next(p for p in critical_pairs(order) if p.a.mask and not is_flippable(order, p))
+        assert (pair.a.to_text(), pair.b.to_text()) == ("1", "2")
+        with pytest.raises(ValueError):
+            flip(order, pair)
 
     def test_invalid_flip_result_raises(self, monkeypatch, lex3):
         # the self-check is a raise, so it also holds under python -O

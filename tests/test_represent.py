@@ -279,11 +279,14 @@ class TestTradingTransforms:
         assert find_trading_transform(order, 1) is None
 
     def test_found_transform_verifies(self, n5_census):
-        order = next(
-            o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep
-        )
+        nonrep = [o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep]
+        # every nonrepresentable 5-atom order needs length 4, so the search
+        # at k_max = 3 comes back empty for all of them
+        assert all(find_trading_transform(o, 3) is None for o in nonrep)
+        # the first one is the order repro criterion 5 reports
+        order = nonrep[0]
         transform = find_trading_transform(order, 4)
-        assert transform is not None
+        assert transform is not None and transform.length == 4
         assert check_trading_transform(transform, order)
         sums = {}
         for s in transform.a_sets:
