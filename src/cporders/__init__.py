@@ -33,8 +33,6 @@ from .cones import (
     characteristic_vector,
     cone_from_order,
     irreducible_elements,
-    ternary_from_text,
-    ternary_to_text,
 )
 from .errors import (
     ConeAxiomError,

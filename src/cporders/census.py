@@ -5,13 +5,13 @@ histograms, facet extremes, connectivity.  A facet count is flippable
 pairs minus unfriendly flips, and M(n) is read off the census flags and
 edges without solving an LP.
 
-The generator extends a ranked prefix subset by subset.  A subset may be
-appended only when all its proper subsets are already placed (they must
-rank below it) and when, for every placed T, the disjoint reduction
-(T \\ S, S \\ T) of the forced comparison T < S is consistent with the
-prefix.  Downward closure makes both sides of every reduction already
-placed, so the check is complete: a full sequence passing it satisfies the
-union-consistency axiom for every pair.
+The generator extends a ranked prefix subset by subset.  For every atom
+c, the subsets holding c must follow the rank order of their c-free parts,
+so the next subset holding c is fixed by the prefix, and a subset may be
+appended only when it is that next subset for each of its atoms.  Every
+prefix of a valid order obeys the rule, and a full sequence that obeys it
+is union consistent, so a prefix is cut as soon as its placed subsets
+break the axiom; the n = 6 census (169,444 orders) completes.
 """
 
 from __future__ import annotations
@@ -51,128 +51,76 @@ class OrderCensus:
 
 
 def _generate_orders(n: int, deadline: Optional[float]) -> list[tuple[int, ...]]:
-    """Depth-first generation of ranked sequences of P_n*.
+    """Depth-first generation of ranked sequences of P_n*, in lexicographic
+    order of the sequence.
 
     Only the bottom half of each order is searched: the union-consistency
     axiom forces rank(S) + rank(complement of S) = 2^n - 1, so every
-    placement at rank k simultaneously pins the complement at the mirror
-    rank.  Inside the bottom half, admissibility is maintained
-    incrementally: ``blocked[c]`` counts placed subsets whose forced
-    comparisons against the frontier candidate c are violated.  Two checks
-    run per (placed s, candidate c): the bottom-half reduction of s < c,
-    and the cross reduction of c < complement(s), which is decidable
-    whenever the complement of (c | s) is already placed.  Both predicates
-    depend only on state that is identical when a placement is made and
-    when it is unwound, so the mirrored decrements restore every count.
-    The checks still do not see every cross-half interaction, so each
-    completed candidate is validated exactly before being recorded; that
-    final validator keeps the generator sound and complete.
+    placement at rank k pins the complement at the mirror rank, and a
+    subset whose complement is already placed is skipped.
+
+    Inside the bottom half each step is exact (see ``validate_order``):
+    for every atom c, the subsets that hold c appear in the rank order of
+    their c-free parts.  ``avoid[c]`` lists the placed subsets avoiding c in
+    rank order and ``took[c]`` counts the placed subsets holding c, so the
+    next subset holding c must be ``avoid[c][took[c]] | c``.  A subset may
+    be placed next iff it is that subset for every atom it holds; hence a
+    node has at most n candidates, one per atom.  Every valid order obeys
+    the rule on each of its prefixes, so no order is missed.
+
+    Singletons ascend by the rule "atom i only after atom i-1" in the
+    bottom half.  A singleton {a} lands in the top half only when [n] minus
+    {a} is placed in the bottom half, after all its proper subsets, so {a}
+    exceeds every other singleton.  If a < n, {n} was among those subsets,
+    and the chain rule placed it only after {a}, which was not yet placed;
+    so a = n, and the top half needs no singleton check.  Each leaf is
+    still validated exactly before it is recorded.
     """
     full = 1 << n
     low = full - 1
     half = full >> 1
-    position = [-1] * full
-    position[0] = 0
-    position[low] = full - 1
+    bits = [1 << c for c in range(n)]
+    placed = bytearray(full)  # the bottom half and the complements it pins
+    placed[0] = placed[low] = 1
     ranked = [0]  # bottom half only; complements are implied
-    # remaining[s]: proper nonempty submasks of s not yet placed bottom
-    remaining = [(1 << mask.bit_count()) - 2 for mask in range(full)]
-    frontier = {mask for mask in range(full) if mask and remaining[mask] == 0}
-    blocked = {mask: 0 for mask in frontier}
+    avoid = [[0] for _ in range(n)]
+    took = [0] * n
     results: list[tuple[int, ...]] = []
     counter = 0
 
-    def emit() -> None:
-        sequence = ranked + [low ^ s for s in reversed(ranked)]
-        singles = [position[1 << i] for i in range(n)]
-        if singles != sorted(singles):
-            return
-        order = ComparativeOrder(n, sequence)
-        if validate_order(order).ok:
-            results.append(tuple(sequence))
-
     def walk() -> None:
         nonlocal counter
-        pos = position
         if len(ranked) == half:
-            emit()
+            sequence = ranked + [low ^ s for s in reversed(ranked)]
+            if validate_order(ComparativeOrder(n, sequence)).ok:
+                results.append(tuple(sequence))
             return
         counter += 1
         if deadline is not None and counter % 64 == 0 and time.monotonic() > deadline:
             raise ResourceError("enumeration budget exhausted", partial=results)
-        for s in sorted(frontier):
-            if blocked[s]:
+        # the next subset holding atom c, for each atom that has one
+        wanted = [avoid[c][took[c]] | bits[c] for c in range(n) if took[c] < len(avoid[c])]
+        for x in sorted(set(wanted)):
+            # admissible iff it is the next subset for every atom it holds
+            if placed[x] or wanted.count(x) != x.bit_count():
                 continue
-            if not s & (s - 1) and s > 1 and pos[s >> 1] < 0:
+            if not x & (x - 1) and x > 1 and not placed[x >> 1]:
                 continue  # atom i may appear only after atom i-1
-            sc = low ^ s
-            if sc and not sc & (sc - 1):
-                # the complement lands on top: singletons already on top
-                # must all carry larger atom labels
-                j = sc.bit_length() - 1
-                if any(pos[1 << i] >= half for i in range(j)):
-                    continue
-            # --- place s at the next bottom rank, its complement on top
-            pos[s] = len(ranked)
-            pos[sc] = full - 1 - pos[s]
-            ranked.append(s)
-            frontier.discard(s)
-            sc_blocked = blocked.pop(sc, None)
-            if sc_blocked is not None:
-                frontier.discard(sc)
-            not_s = ~s
-            for c in frontier:
-                if s & c:
-                    if s & ~c and pos[s & ~c] > pos[c & not_s]:
-                        blocked[c] += 1
-                    w = low ^ (c | s)
-                    if pos[w] >= 0 and pos[c & s] > pos[w]:
-                        blocked[c] += 1
-            opened = []
-            comp = not_s & low
-            d = comp
-            while d:
-                sup = s | d
-                remaining[sup] -= 1
-                if not remaining[sup] and pos[sup] < 0:
-                    opened.append(sup)
-                d = (d - 1) & comp
-            for sup in opened:
-                frontier.add(sup)
-                count = 0
-                not_sup = ~sup
-                for t in ranked:
-                    if t & sup:
-                        if t & not_sup and pos[t & not_sup] > pos[sup & ~t]:
-                            count += 1
-                        w = low ^ (sup | t)
-                        if pos[w] >= 0 and pos[sup & t] > pos[w]:
-                            count += 1
-                blocked[sup] = count
+            placed[x] = placed[low ^ x] = 1
+            ranked.append(x)
+            for c in range(n):
+                if x & bits[c]:
+                    took[c] += 1
+                else:
+                    avoid[c].append(x)
             walk()
-            # --- unplace (exact mirror: the pair checks are reproducible)
-            for sup in opened:
-                frontier.discard(sup)
-                del blocked[sup]
-            d = comp
-            while d:
-                remaining[s | d] += 1
-                d = (d - 1) & comp
-            for c in frontier:
-                if s & c:
-                    if s & ~c and pos[s & ~c] > pos[c & not_s]:
-                        blocked[c] -= 1
-                    w = low ^ (c | s)
-                    if pos[w] >= 0 and pos[c & s] > pos[w]:
-                        blocked[c] -= 1
+            for c in range(n):
+                if x & bits[c]:
+                    took[c] -= 1
+                else:
+                    avoid[c].pop()
             ranked.pop()
-            pos[s] = -1
-            pos[sc] = -1
-            if sc_blocked is not None:
-                frontier.add(sc)
-                blocked[sc] = sc_blocked
-            frontier.add(s)
-            blocked[s] = 0  # it was admissible when placed and the prefix is restored
+            placed[x] = placed[low ^ x] = 0
 
     walk()
     return results

@@ -169,6 +169,7 @@ def cmd_enumerate(args) -> int:
         census = enumerate_orders(
             args.n,
             with_flags=not args.no_flags,
+            with_edges=not args.no_flags,  # only census_stats reads edges
             budget=args.budget,
             checkpoint_path=args.checkpoint,
             threads=_threads(args),

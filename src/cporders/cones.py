@@ -9,7 +9,7 @@ irreducibility scan a matter of a few integer operations per candidate.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConeAxiomError, VerificationError
 from .orders import ComparativeOrder, Subset
@@ -34,19 +34,6 @@ def pack_ternary(vector: TernaryVector, n: int) -> int:
 def unpack_ternary(packed: int, n: int) -> TernaryVector:
     pos, neg = packed >> n, packed & ((1 << n) - 1)
     return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(n))
-
-
-def ternary_to_text(vector: TernaryVector) -> str:
-    """Serialize as a string over {-,0,+}, first coordinate first."""
-    return "".join("+" if e == 1 else "-" if e == -1 else "0" for e in vector)
-
-
-def ternary_from_text(text: str) -> TernaryVector:
-    mapping = {"+": 1, "-": -1, "0": 0}
-    try:
-        return tuple(mapping[ch] for ch in text.strip())
-    except KeyError:
-        raise ValueError(f"cannot parse ternary vector {text!r}") from None
 
 
 def characteristic_vector(a: Subset, b: Subset) -> TernaryVector:
@@ -102,13 +89,6 @@ class DiscreteCone:
 
     def packed_members(self) -> frozenset[int]:
         return self._packed
-
-    def members(self) -> Iterator[TernaryVector]:
-        for packed in sorted(self._packed):
-            yield unpack_ternary(packed, self.n)
-
-    def to_text(self) -> list[str]:
-        return sorted(ternary_to_text(v) for v in self.members())
 
     def check_d2_exhaustive(self) -> bool:
         """Every vector in {-1,0,1}^n or its negation is a member, never both."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -193,6 +194,8 @@ def criterion_6_census_6(ctx: ReproContext, budget: Optional[float]) -> Criterio
             "not attempted (long-running; set CPOL_N6_BUDGET seconds to enable)",
             skipped=True,
         )
+    # one deadline for generation and the cone stage
+    deadline = time.monotonic() + budget
     try:
         census = enumerate_orders(
             6, with_flags=False, with_edges=False, budget=budget, threads=ctx.threads
@@ -204,9 +207,17 @@ def criterion_6_census_6(ctx: ReproContext, budget: Optional[float]) -> Criterio
             f"budget of {budget:.0f}s exhausted after {done} orders (reported, not failed)",
             skipped=True,
         )
-    census.irr_counts = [
-        len(irreducible_elements(cone_from_order(o))) for o in census.orders
-    ]
+    irr_counts = []
+    for order in census.orders:
+        if time.monotonic() > deadline:
+            return CriterionResult(
+                6, "census-6", True,
+                f"budget of {budget:.0f}s exhausted after {len(irr_counts)} of "
+                f"{len(census.orders)} cones (reported, not failed)",
+                skipped=True,
+            )
+        irr_counts.append(len(irreducible_elements(cone_from_order(order))))
+    census.irr_counts = irr_counts
     stats = census_stats(census)
     if stats.max_flippable != 13:
         return CriterionResult(6, "census-6", False, f"m(6)={stats.max_flippable} != 13")

@@ -14,8 +14,8 @@ from cporders.census import (
     write_census,
 )
 from cporders.errors import ResourceError
-from cporders.flips import flip, flippable_pairs
-from cporders.orders import order_from_utilities, validate_order
+from cporders.flips import flip, flip_neighbors, flippable_pairs
+from cporders.orders import lexicographic_utilities, order_from_utilities, validate_order
 from cporders.represent import facet_count, is_representable
 
 
@@ -28,9 +28,35 @@ class TestOracleEquivalence:
         assert len(fast.orders) == count
 
 
+class TestGeneratorContract:
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 14), (5, 546)])
+    def test_counts_in_ascending_order(self, n, count):
+        # emission order is part of the contract: criterion 5 reads the
+        # first nonrepresentable order, and benchmarks digest the sequence
+        ranked = [o.ranked for o in enumerate_orders(n, with_flags=False, with_edges=False).orders]
+        assert len(ranked) == count
+        assert all(a < b for a, b in zip(ranked, ranked[1:]))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_flip_closure_of_lex_order(self, n, request):
+        # independent of the generator: every order is reached from the
+        # lexicographic one by flips, brought back into P_n* by relabeling
+        start = order_from_utilities(lexicographic_utilities(n))
+        seen = {start.ranked}
+        stack = [start]
+        while stack:
+            for _, neighbor in flip_neighbors(stack.pop()):
+                neighbor = relabel_order(neighbor, singleton_relabeling(neighbor))
+                if neighbor.ranked not in seen:
+                    seen.add(neighbor.ranked)
+                    stack.append(neighbor)
+        census = request.getfixturevalue(f"n{n}_census")
+        assert seen == {o.ranked for o in census.orders}
+
+
 class TestCensusInvariants:
-    def test_all_orders_valid_and_canonical(self, n4_census):
-        for order in n4_census.orders:
+    def test_all_orders_valid_and_canonical(self, n4_census, n5_census):
+        for order in n4_census.orders + n5_census.orders:
             assert validate_order(order).ok
             assert order.ranked[1] == 1  # {1} right after the empty set
             singles = [order.position[1 << i] for i in range(order.n)]

@@ -181,6 +181,15 @@ class TestEnumerateAndStats:
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4
 
+    def test_no_flags_builds_no_edges(self, capsys, monkeypatch):
+        def refuse(census):
+            raise AssertionError("enumerate --no-flags built flip edges")
+
+        monkeypatch.setattr("cporders.census._annotate_edges", refuse)
+        code, out = run(capsys, ["enumerate", "--n", "4", "--no-flags"])
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "orders": 14, "stats": None}
+
 
 class TestBoundsAndVerify:
     def test_bounds_table(self, capsys):

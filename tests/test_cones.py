@@ -8,8 +8,6 @@ from cporders.cones import (
     cone_from_order,
     irreducible_elements,
     pack_ternary,
-    ternary_from_text,
-    ternary_to_text,
     unpack_ternary,
 )
 from cporders.errors import ConeAxiomError
@@ -23,7 +21,7 @@ from cporders.orders import (
 
 def brute_force_irreducibles(cone):
     """Independent reducibility scan: try every ordered member pair."""
-    members = list(cone.members())
+    members = [unpack_ternary(p, cone.n) for p in cone.packed_members()]
     member_set = set(members)
     out = set()
     for w in members:
@@ -77,18 +75,12 @@ class TestPacking:
     def test_roundtrip(self, vec):
         assert unpack_ternary(pack_ternary(vec, 3), 3) == vec
 
-    def test_text(self):
-        assert ternary_to_text((-1, 1, 0)) == "-+0"
-        assert ternary_from_text("-+0") == (-1, 1, 0)
-        with pytest.raises(ValueError):
-            ternary_from_text("-x0")
-
 
 class TestConeFromOrder:
     def test_lexicographic_n2(self):
         cone = cone_from_order(order_from_utilities((1, 2)))
         expected = {(0, 0), (1, 0), (0, 1), (-1, 1), (1, 1)}
-        assert set(cone.members()) == expected
+        assert {unpack_ternary(p, 2) for p in cone.packed_members()} == expected
         assert len(cone) == 5
 
     @pytest.mark.parametrize("utilities", [(1, 2, 4), (2, 3, 4), (5, 3, 9)])
@@ -109,10 +101,6 @@ class TestConeFromOrder:
         bad = [0, pack_ternary((-1, 0), 2), pack_ternary((0, 1), 2), pack_ternary((1, 1), 2), pack_ternary((-1, 1), 2)]
         with pytest.raises(ConeAxiomError):
             DiscreteCone(2, bad)
-
-    def test_serialization(self):
-        cone = cone_from_order(order_from_utilities((1, 2)))
-        assert cone.to_text() == sorted(["00", "+0", "0+", "-+", "++"])
 
 
 class TestIrreducibles:
