@@ -11,11 +11,11 @@ of binomial sums, certified here with outward-rounded interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from mpmath import iv
 
@@ -114,7 +114,9 @@ def _excess_iv(x):
     return x + _entropy_iv(x) - 1
 
 
-def _lambda_bracket_uncached() -> tuple[Fraction, Fraction]:
+@functools.cache
+def lambda_bracket() -> tuple[Fraction, Fraction]:
+    """Certified enclosure of the root of x + H(x) = 1, width < 2^-48."""
     old = iv.prec
     iv.prec = _IV_PREC
     try:
@@ -135,17 +137,6 @@ def _lambda_bracket_uncached() -> tuple[Fraction, Fraction]:
         return lo, hi
     finally:
         iv.prec = old
-
-
-_lambda_cache: Optional[tuple[Fraction, Fraction]] = None
-
-
-def lambda_bracket() -> tuple[Fraction, Fraction]:
-    """Certified enclosure of the root of x + H(x) = 1, width < 2^-48."""
-    global _lambda_cache
-    if _lambda_cache is None:
-        _lambda_cache = _lambda_bracket_uncached()
-    return _lambda_cache
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,7 @@ from .cones import cone_from_order, irreducible_elements
 from .errors import ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
 from .orders import ComparativeOrder, order_from_line, order_to_line, validate_order
-from .represent import Certificate, is_representable, unfriendly_flips
-
-Edge = tuple[int, Optional[tuple[int, ...]]]  # neighbor index, relabeling or None
+from .represent import Certificate, is_representable
 
 
 @dataclass
@@ -36,16 +34,15 @@ class OrderCensus:
     """All orders of P_n* (singletons ascending), with optional parallel
     representability flags, irreducible counts, and flip edges.
 
-    An edge (j, perm) means flipping some pair of order i lands on order j
-    after relabeling atoms by perm (None when no relabeling was needed);
-    perm[old_atom - 1] = new_atom.
+    An edge j in ``edges[i]`` means flipping some pair of order i lands on
+    order j, possibly after relabeling the atoms so the singletons ascend.
     """
 
     n: int
     orders: list[ComparativeOrder]
     representable: Optional[list[bool]] = None
     irr_counts: Optional[list[int]] = None
-    edges: Optional[list[list[Edge]]] = None
+    edges: Optional[list[list[int]]] = None
     complete: bool = True
     certificates: dict = field(default_factory=dict, repr=False)
 
@@ -260,22 +257,20 @@ def relabel_order(order: ComparativeOrder, perm: tuple[int, ...]) -> Comparative
 
 def _annotate_edges(census) -> None:
     index = {o.ranked: i for i, o in enumerate(census.orders)}
-    edges: list[list[Edge]] = []
+    edges: list[list[int]] = []
     identity = tuple(range(1, census.n + 1))
     for order in census.orders:
-        row: list[Edge] = []
+        row: list[int] = []
         for _, neighbor in flip_neighbors(order):
             j = index.get(neighbor.ranked)
-            if j is not None:
-                row.append((j, None))
-                continue
-            perm = singleton_relabeling(neighbor)
-            if perm == identity:
-                raise VerificationError("flip left the census and has no singleton relabeling")
-            j = index.get(relabel_order(neighbor, perm).ranked)
             if j is None:
-                raise VerificationError("flip left the census even after relabeling")
-            row.append((j, perm))
+                perm = singleton_relabeling(neighbor)
+                if perm == identity:
+                    raise VerificationError("flip left the census and has no singleton relabeling")
+                j = index.get(relabel_order(neighbor, perm).ranked)
+                if j is None:
+                    raise VerificationError("flip left the census even after relabeling")
+            row.append(j)
         edges.append(row)
     census.edges = edges
 
@@ -308,9 +303,8 @@ class CensusStats:
     representable_count: int
     irr_histogram: dict[int, int]
     max_flippable: int  # m(n): max irreducible count = max flippable pairs
-    max_facets: Optional[int]  # M(n)
-    max_facets_method: str
-    min_facets: Optional[int]  # over representable orders
+    max_facets: int  # M(n)
+    min_facets: int  # over representable orders
     max_irr_all_friendly: bool
     full_graph_components: int
     representable_components: int
@@ -323,7 +317,6 @@ class CensusStats:
             "irr_histogram": {str(k): v for k, v in sorted(self.irr_histogram.items())},
             "m": self.max_flippable,
             "M": self.max_facets,
-            "M_method": self.max_facets_method,
             "min_facets": self.min_facets,
             "max_irr_all_friendly": self.max_irr_all_friendly,
             "full_graph_components": self.full_graph_components,
@@ -353,11 +346,11 @@ def facet_counts_from_census(census: OrderCensus) -> list[Optional[int]]:
     """Facet count per representable order, None elsewhere: flippable pairs
     minus unfriendly flips, the neighbours' verdicts read off the census
     edges and flags (representability is invariant under relabeling)."""
-    if census.representable is None or census.edges is None:
+    if census.representable is None or None in census.representable or census.edges is None:
         raise ValueError("census must carry representability flags and edges")
     rep = census.representable
     return [
-        len(flippable_pairs(order)) - sum(not rep[j] for j, _ in census.edges[i])
+        len(flippable_pairs(order)) - sum(not rep[j] for j in census.edges[i])
         if rep[i]
         else None
         for i, order in enumerate(census.orders)
@@ -365,74 +358,34 @@ def facet_counts_from_census(census: OrderCensus) -> list[Optional[int]]:
 
 
 def census_stats(census: OrderCensus) -> CensusStats:
-    """Summary statistics.  With all flags and edges, M(n) and the minimum
-    are taken over the facet counts of every representable order, and no
-    LP is solved.  Otherwise M(n) comes from the max-flip shortcut: facets
-    never exceed flippable pairs, and a max-flip order with no unfriendly
-    flip attains the bound."""
-    if census.irr_counts is None or any(v is None for v in census.irr_counts):
+    """Summary statistics of a census with irreducible counts,
+    representability flags and edges.  M(n) and the minimum are taken over
+    the facet counts of every representable order, read off the flags and
+    edges, so no LP is solved."""
+    if census.irr_counts is None or None in census.irr_counts:
         raise ValueError("census must carry irreducible counts")
     histogram: dict[int, int] = {}
     for irr in census.irr_counts:
         histogram[irr] = histogram.get(irr, 0) + 1
     m = max(census.irr_counts)
     max_rows = [i for i, irr in enumerate(census.irr_counts) if irr == m]
-
-    flags_full = census.representable is not None and all(
-        v is not None for v in census.representable
-    )
-    if flags_full and census.edges is not None:
-        facets = facet_counts_from_census(census)
-        present = [f for f in facets if f is not None]
-        max_facets = max(present)
-        min_facets = min(present)
-        method = "prop1-full"
-        rep_count = sum(census.representable)
-        # irr_counts equal flippable-pair counts (Theorem 2), so a facet count
-        # of m means a representable max-flip order with every flip friendly
-        max_irr_friendly = all(facets[i] == m for i in max_rows)
-    else:
-        max_irr_friendly = True
-        for i in max_rows:
-            order = census.orders[i]
-            cert = census.certificates.get(order) or is_representable(order)
-            if not cert.representable or unfriendly_flips(order, cert.utilities):
-                max_irr_friendly = False
-                break
-        max_facets = m if max_irr_friendly else None
-        min_facets = None
-        method = "max-flip-friendly" if max_irr_friendly else "unknown"
-        rep_count = (
-            sum(1 for v in census.representable if v)
-            if census.representable is not None
-            else 0
-        )
-
-    full_components = 0
-    rep_components = 0
-    if census.edges is not None:
-        adjacency = {i: [j for j, _ in row] for i, row in enumerate(census.edges)}
-        full_components = _component_count(adjacency)
-        if flags_full:
-            rep_nodes = [i for i, v in enumerate(census.representable) if v]
-            rep_adj = {
-                i: [j for j, _ in census.edges[i] if census.representable[j]]
-                for i in rep_nodes
-            }
-            rep_components = _component_count(rep_adj)
-
+    facets = facet_counts_from_census(census)
+    present = [f for f in facets if f is not None]
+    rep = census.representable
+    rep_adj = {i: [j for j in census.edges[i] if rep[j]] for i, v in enumerate(rep) if v}
     return CensusStats(
         n=census.n,
         order_count=len(census.orders),
-        representable_count=rep_count,
+        representable_count=sum(rep),
         irr_histogram=histogram,
         max_flippable=m,
-        max_facets=max_facets,
-        max_facets_method=method,
-        min_facets=min_facets,
-        max_irr_all_friendly=max_irr_friendly,
-        full_graph_components=full_components,
-        representable_components=rep_components,
+        max_facets=max(present),
+        min_facets=min(present),
+        # irr_counts equal flippable-pair counts (Theorem 2), so a facet count
+        # of m means a representable max-flip order with every flip friendly
+        max_irr_all_friendly=all(facets[i] == m for i in max_rows),
+        full_graph_components=_component_count(dict(enumerate(census.edges))),
+        representable_components=_component_count(rep_adj),
     )
 
 

@@ -165,19 +165,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        census = enumerate_orders(
-            args.n,
-            with_flags=not args.no_flags,
-            with_edges=not args.no_flags,  # only census_stats reads edges
-            budget=args.budget,
-            checkpoint_path=args.checkpoint,
-            threads=_threads(args),
-        )
-    except ResourceError as exc:
-        done = len(exc.partial.orders) if exc.partial is not None else 0
-        print(f"budget exhausted: {exc} ({done} orders completed)", file=sys.stderr)
-        return EXIT_BUDGET
+    census = enumerate_orders(
+        args.n,
+        with_flags=not args.no_flags,
+        with_edges=not args.no_flags,  # only census_stats reads edges
+        budget=args.budget,
+        checkpoint_path=args.checkpoint,
+        threads=_threads(args),
+    )
     if args.out:
         write_census(census, args.out)
     stats = None

@@ -2,9 +2,13 @@
 package is built around, as pass/fail functions shared by the test suite
 and the ``repro`` CLI subcommand.
 
-Each check returns a CriterionResult; nothing here prints or exits by
-itself.  Expensive intermediates (censuses, verified constructions) are
-memoised on a ReproContext so overlapping criteria share work.
+Each check is declared once with ``@criterion(number, name)``, which
+registers it in ALL_CRITERIA.  A check returns its PASS detail, raises
+VerificationError(detail) to FAIL, or raises Skipped(detail) to SKIP; the
+registered wrapper turns that into a CriterionResult.  Nothing here prints
+or exits by itself.  Expensive intermediates (censuses, verified
+constructions) are memoised on a ReproContext so overlapping criteria share
+work.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import wraps
+from typing import Callable, Optional
 
 from .bounds import (
     entropy_bound,
@@ -33,7 +38,12 @@ from .cones import characteristic_vector, cone_from_order, irreducible_elements
 from .errors import ResourceError, TieError, VerificationError
 from .flips import flippable_pairs
 from .orders import ComparativeOrder, maclagan_utilities, order_from_utilities
-from .represent import check_trading_transform, find_trading_transform
+from .represent import (
+    check_trading_transform,
+    find_trading_transform,
+    is_representable,
+    unfriendly_flips,
+)
 from .sequences import fibonacci
 
 FIB_BASE_RANGE = range(3, 12)  # base n; orders live on 4..12 atoms
@@ -57,11 +67,18 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{self.name}]: {self.status} - {self.detail}"
 
 
-class ReproContext:
-    """Shared memo for censuses and verified constructions."""
+class Skipped(Exception):
+    """Raised by a check that was not attempted or ran out of budget; the
+    message is the SKIP detail."""
 
-    def __init__(self, threads: int = 1):
+
+class ReproContext:
+    """Shared memo for censuses and verified constructions, and the seconds
+    criterion 6 may spend (None: read CPOL_N6_BUDGET)."""
+
+    def __init__(self, threads: int = 1, n6_budget: Optional[float] = None):
         self.threads = threads
+        self.n6_budget = n6_budget
         self._census: dict[int, OrderCensus] = {}
         self._construction: dict[tuple[int, bool], object] = {}
 
@@ -79,6 +96,31 @@ class ReproContext:
         return self._construction[key]
 
 
+Check = Callable[[ReproContext], str]
+Criterion = Callable[[ReproContext], CriterionResult]
+ALL_CRITERIA: dict[int, Criterion] = {}
+
+
+def criterion(number: int, name: str) -> Callable[[Check], Criterion]:
+    """Declare a check as criterion ``number``: the returned wrapper is
+    registered in ALL_CRITERIA and reports the check as a CriterionResult."""
+
+    def register(check: Check) -> Criterion:
+        @wraps(check)
+        def run(ctx: ReproContext) -> CriterionResult:
+            try:
+                return CriterionResult(number, name, True, check(ctx))
+            except VerificationError as exc:
+                return CriterionResult(number, name, False, str(exc))
+            except Skipped as exc:
+                return CriterionResult(number, name, True, str(exc), skipped=True)
+
+        ALL_CRITERIA[number] = run
+        return run
+
+    return register
+
+
 def random_utility_order(n: int, rng: random.Random) -> ComparativeOrder:
     """Order induced by random positive integer utilities; retries ties."""
     while True:
@@ -89,38 +131,30 @@ def random_utility_order(n: int, rng: random.Random) -> ComparativeOrder:
             continue
 
 
-def criterion_1_fibonacci_counts(ctx: ReproContext) -> CriterionResult:
+@criterion(1, "fibonacci-counts")
+def criterion_1_fibonacci_counts(ctx: ReproContext) -> str:
     expected = {n: fibonacci(n + 2) for n in FIB_BASE_RANGE}
-    got = {}
-    try:
-        for n in FIB_BASE_RANGE:
-            got[n] = ctx.construction(n, check_friendly=False).flippable_count
-    except VerificationError as exc:
-        return CriterionResult(1, "fibonacci-counts", False, str(exc))
-    ok = got == expected
+    got = {n: ctx.construction(n, check_friendly=False).flippable_count for n in FIB_BASE_RANGE}
     detail = ", ".join(f"n={n}+1: {got[n]}" for n in FIB_BASE_RANGE)
-    return CriterionResult(1, "fibonacci-counts", ok, detail)
+    if got != expected:
+        raise VerificationError(detail)
+    return detail
 
 
-def criterion_2_friendliness(ctx: ReproContext) -> CriterionResult:
-    checked = 0
-    try:
-        for n in FIB_BASE_RANGE:
-            checked += ctx.construction(n, check_friendly=True).neighbors_checked
-    except VerificationError as exc:
-        return CriterionResult(2, "friendly-flips", False, str(exc))
-    return CriterionResult(
-        2, "friendly-flips", True, f"{checked} neighbors, all representable (exact)"
+@criterion(2, "friendly-flips")
+def criterion_2_friendliness(ctx: ReproContext) -> str:
+    checked = sum(
+        ctx.construction(n, check_friendly=True).neighbors_checked for n in FIB_BASE_RANGE
     )
+    return f"{checked} neighbors, all representable (exact)"
 
 
-def criterion_3_gh_table(ctx: ReproContext) -> CriterionResult:
+@criterion(3, "gh-table")
+def criterion_3_gh_table(ctx: ReproContext) -> str:
     g3h3 = gh_counts(3)
     g4h4 = gh_counts(4)
     if (g3h3.g, g3h3.h) != (2, 3) or (g4h4.g, g4h4.h) != (5, 3):
-        return CriterionResult(
-            3, "gh-table", False, f"seeds wrong: {g3h3}, {g4h4}"
-        )
+        raise VerificationError(f"seeds wrong: {g3h3}, {g4h4}")
     for n in range(3, 18):
         cur, nxt = gh_counts(n), gh_counts(n + 1)
         if n % 2 == 1:
@@ -128,108 +162,89 @@ def criterion_3_gh_table(ctx: ReproContext) -> CriterionResult:
         else:
             ok = nxt.g == cur.g and nxt.h == cur.g + cur.h
         if not ok:
-            return CriterionResult(
-                3, "gh-table", False, f"recurrence fails at n={n}: {cur} -> {nxt}"
-            )
-    return CriterionResult(
-        3, "gh-table", True, "seeds (2,3),(5,3) and recurrences hold for n=3..18"
-    )
+            raise VerificationError(f"recurrence fails at n={n}: {cur} -> {nxt}")
+    return "seeds (2,3),(5,3) and recurrences hold for n=3..18"
 
 
-def criterion_4_small_censuses(ctx: ReproContext) -> CriterionResult:
-    expectations = {3: 3, 4: 5}
+@criterion(4, "census-3-4")
+def criterion_4_small_censuses(ctx: ReproContext) -> str:
     details = []
-    for n, value in expectations.items():
+    for n, value in {3: 3, 4: 5}.items():
         stats = census_stats(ctx.census(n))
         if stats.max_flippable != value or stats.max_facets != value:
-            return CriterionResult(
-                4, "census-3-4", False,
-                f"n={n}: m={stats.max_flippable}, M={stats.max_facets}, want {value}",
+            raise VerificationError(
+                f"n={n}: m={stats.max_flippable}, M={stats.max_facets}, want {value}"
             )
         if stats.min_facets != n:
-            return CriterionResult(
-                4, "census-3-4", False,
-                f"n={n}: min facets {stats.min_facets}, want {n}",
-            )
+            raise VerificationError(f"n={n}: min facets {stats.min_facets}, want {n}")
         details.append(f"m({n})=M({n})={value}, min facets {stats.min_facets}")
-    return CriterionResult(4, "census-3-4", True, "; ".join(details))
+    return "; ".join(details)
 
 
-def criterion_5_census_5(ctx: ReproContext) -> CriterionResult:
+@criterion(5, "census-5")
+def criterion_5_census_5(ctx: ReproContext) -> str:
     census = ctx.census(5)
     stats = census_stats(census)
     if sorted(stats.irr_histogram) != [5, 6, 7, 8]:
-        return CriterionResult(
-            5, "census-5", False, f"irr values {sorted(stats.irr_histogram)} != [5..8]"
-        )
+        raise VerificationError(f"irr values {sorted(stats.irr_histogram)} != [5..8]")
     if not stats.max_irr_all_friendly:
-        return CriterionResult(
-            5, "census-5", False, "a max-flip order is nonrepresentable or has an unfriendly flip"
-        )
+        raise VerificationError("a max-flip order is nonrepresentable or has an unfriendly flip")
     if stats.max_facets != 8:
-        return CriterionResult(5, "census-5", False, f"M(5)={stats.max_facets} != 8")
+        raise VerificationError(f"M(5)={stats.max_facets} != 8")
     nonrep = [i for i, r in enumerate(census.representable) if not r]
     if not nonrep:
-        return CriterionResult(5, "census-5", False, "no nonrepresentable order found")
+        raise VerificationError("no nonrepresentable order found")
     order = census.orders[nonrep[0]]
     transform = find_trading_transform(order, k_max=4)
     if transform is None or not check_trading_transform(transform, order):
-        return CriterionResult(
-            5, "census-5", False, "no trading transform at k_max=4 for a nonrepresentable order"
+        raise VerificationError(
+            "no trading transform at k_max=4 for a nonrepresentable order"
         )
-    return CriterionResult(
-        5, "census-5", True,
+    return (
         f"{stats.order_count} orders, irr histogram {stats.irr_histogram}, "
-        f"M(5)=8, {len(nonrep)} nonrepresentable, transform length {transform.length}",
+        f"M(5)=8, {len(nonrep)} nonrepresentable, transform length {transform.length}"
     )
 
 
-def criterion_6_census_6(ctx: ReproContext, budget: Optional[float]) -> CriterionResult:
+@criterion(6, "census-6")
+def criterion_6_census_6(ctx: ReproContext) -> str:
+    budget = ctx.n6_budget
     if budget is None:
         budget_env = os.environ.get("CPOL_N6_BUDGET")
         budget = float(budget_env) if budget_env else None
     if budget is None or budget <= 0:
-        return CriterionResult(
-            6, "census-6", True,
-            "not attempted (long-running; set CPOL_N6_BUDGET seconds to enable)",
-            skipped=True,
-        )
+        raise Skipped("not attempted (long-running; set CPOL_N6_BUDGET seconds to enable)")
     # one deadline for generation and the cone stage
     deadline = time.monotonic() + budget
     try:
-        census = enumerate_orders(
-            6, with_flags=False, with_edges=False, budget=budget, threads=ctx.threads
-        )
+        census = enumerate_orders(6, with_flags=False, with_edges=False, budget=budget)
     except ResourceError as exc:
         done = len(exc.partial.orders) if exc.partial is not None else 0
-        return CriterionResult(
-            6, "census-6", True,
-            f"budget of {budget:.0f}s exhausted after {done} orders (reported, not failed)",
-            skipped=True,
-        )
+        raise Skipped(
+            f"budget of {budget:.0f}s exhausted after {done} orders (reported, not failed)"
+        ) from None
     irr_counts = []
     for order in census.orders:
         if time.monotonic() > deadline:
-            return CriterionResult(
-                6, "census-6", True,
+            raise Skipped(
                 f"budget of {budget:.0f}s exhausted after {len(irr_counts)} of "
-                f"{len(census.orders)} cones (reported, not failed)",
-                skipped=True,
+                f"{len(census.orders)} cones (reported, not failed)"
             )
         irr_counts.append(len(irreducible_elements(cone_from_order(order))))
-    census.irr_counts = irr_counts
-    stats = census_stats(census)
-    if stats.max_flippable != 13:
-        return CriterionResult(6, "census-6", False, f"m(6)={stats.max_flippable} != 13")
-    # M(6) = m(6) once every max-flip order is representable with friendly flips
-    if not stats.max_irr_all_friendly:
-        return CriterionResult(
-            6, "census-6", False, "a 13-flip order is nonrepresentable or has an unfriendly flip"
-        )
-    return CriterionResult(
-        6, "census-6", True,
-        f"{len(census.orders)} orders, m(6)=M(6)=13 (max-flip orders all friendly)",
-    )
+    m = max(irr_counts)
+    if m != 13:
+        raise VerificationError(f"m(6)={m} != 13")
+    # facets never exceed flippable pairs (= irreducible elements, Theorem 2),
+    # so M(6) = m(6) once every max-flip order is representable with all
+    # flips friendly
+    for order, irr in zip(census.orders, irr_counts):
+        if irr == m:
+            cert = is_representable(order)
+            if not cert.representable or unfriendly_flips(order, cert.utilities):
+                raise VerificationError(
+                    "a 13-flip order is nonrepresentable or has an unfriendly flip"
+                )
+    return f"{len(census.orders)} orders, m(6)=M(6)=13 (max-flip orders all friendly)"
 
 
 def _bijection_holds(order: ComparativeOrder) -> bool:
@@ -239,104 +254,80 @@ def _bijection_holds(order: ComparativeOrder) -> bool:
     return len(flips_chi) == len(pairs) and flips_chi == set(irr)
 
 
-def criterion_7_theorem2(ctx: ReproContext, seed: int = 20240311) -> CriterionResult:
+@criterion(7, "flippable-irreducible")
+def criterion_7_theorem2(ctx: ReproContext) -> str:
     checked = 0
     for n in (1, 2, 3, 4, 5):
         for order in ctx.census(n).orders:
             if not _bijection_holds(order):
-                return CriterionResult(
-                    7, "flippable-irreducible", False, f"bijection fails on a census order (n={n})"
-                )
+                raise VerificationError(f"bijection fails on a census order (n={n})")
             checked += 1
-    rng = random.Random(seed)
+    rng = random.Random(20240311)
     for n in (6, 7, 8):
         for _ in range(100):
-            order = random_utility_order(n, rng)
-            if not _bijection_holds(order):
-                return CriterionResult(
-                    7, "flippable-irreducible", False, f"bijection fails on a random order (n={n})"
-                )
+            if not _bijection_holds(random_utility_order(n, rng)):
+                raise VerificationError(f"bijection fails on a random order (n={n})")
             checked += 1
-    return CriterionResult(
-        7, "flippable-irreducible", True, f"bijection holds on {checked} orders"
-    )
+    return f"bijection holds on {checked} orders"
 
 
-def criterion_8_cone_axioms(ctx: ReproContext, seed: int = 20240312) -> CriterionResult:
-    rng = random.Random(seed)
+@criterion(8, "cone-axioms")
+def criterion_8_cone_axioms(ctx: ReproContext) -> str:
+    rng = random.Random(20240312)
     checked = 0
     for n in (3, 4, 5, 6):
         for _ in range(100):
-            order = random_utility_order(n, rng)
-            cone = cone_from_order(order)  # D1 and the D2 size are enforced here
+            cone = cone_from_order(random_utility_order(n, rng))  # enforces D1, D2 size
             if not cone.check_d2_exhaustive():
-                return CriterionResult(8, "cone-axioms", False, f"D2 fails (n={n})")
+                raise VerificationError(f"D2 fails (n={n})")
             if not cone.check_d3_exhaustive():
-                return CriterionResult(8, "cone-axioms", False, f"D3 fails (n={n})")
+                raise VerificationError(f"D3 fails (n={n})")
             checked += 1
-    return CriterionResult(
-        8, "cone-axioms", True, f"D1-D3 hold exhaustively on {checked} random cones"
-    )
+    return f"D1-D3 hold exhaustively on {checked} random cones"
 
 
-def criterion_9_bounds(ctx: ReproContext) -> CriterionResult:
+@criterion(9, "bounds")
+def criterion_9_bounds(ctx: ReproContext) -> str:
     if upper_bound(5).count_upper != 16 or upper_bound(6).count_upper != 22:
-        return CriterionResult(
-            9, "bounds", False,
-            f"upper bounds {upper_bound(5).count_upper}, {upper_bound(6).count_upper} != 16, 22",
+        raise VerificationError(
+            f"upper bounds {upper_bound(5).count_upper}, {upper_bound(6).count_upper} != 16, 22"
         )
     for n in range(3, 25):
         report = upper_bound(n)
         if report.fib_lower > report.count_upper:
-            return CriterionResult(
-                9, "bounds", False, f"F_{n + 1} exceeds the upper bound at n={n}"
-            )
+            raise VerificationError(f"F_{n + 1} exceeds the upper bound at n={n}")
     rate = entropy_bound(1, Fraction(1, 4))
     if not rate.rate_upper < Fraction("1.7548"):
-        return CriterionResult(
-            9, "bounds", False, f"2^H(1/4) upper endpoint {float(rate.rate_upper)} not below 1.7548"
+        raise VerificationError(
+            f"2^H(1/4) upper endpoint {float(rate.rate_upper)} not below 1.7548"
         )
     lam_lo, lam_hi = lambda_rate_bracket()
     if not (Fraction("1.70865") < lam_lo <= lam_hi < Fraction("1.70875")):
-        return CriterionResult(
-            9, "bounds", False,
-            f"2^H(lambda) in [{float(lam_lo)}, {float(lam_hi)}] does not round to 1.7087",
+        raise VerificationError(
+            f"2^H(lambda) in [{float(lam_lo)}, {float(lam_hi)}] does not round to 1.7087"
         )
-    return CriterionResult(
-        9, "bounds", True,
+    return (
         "upper_bound(5)=16, upper_bound(6)=22, Fibonacci below the bound for n<=24, "
-        "2^H(0.25) < 1.7548 and 2^H(lambda) = 1.7087... certified",
+        "2^H(0.25) < 1.7548 and 2^H(lambda) = 1.7087... certified"
     )
 
 
-def criterion_10_oracle(ctx: ReproContext) -> CriterionResult:
+@criterion(10, "oracle-equivalence")
+def criterion_10_oracle(ctx: ReproContext) -> str:
     for n in (1, 2, 3):
         fast = {o.ranked for o in ctx.census(n).orders}
         slow = {o.ranked for o in brute_force_oracle(n).orders}
         if fast != slow:
-            return CriterionResult(
-                10, "oracle-equivalence", False, f"censuses disagree at n={n}"
-            )
+            raise VerificationError(f"censuses disagree at n={n}")
     if len(ctx.census(3).orders) != 2:
-        return CriterionResult(
-            10, "oracle-equivalence", False, f"{len(ctx.census(3).orders)} orders at n=3, want 2"
-        )
-    return CriterionResult(
-        10, "oracle-equivalence", True, "permutation filter matches for n=1,2,3 (2 orders at n=3)"
-    )
+        raise VerificationError(f"{len(ctx.census(3).orders)} orders at n=3, want 2")
+    return "permutation filter matches for n=1,2,3 (2 orders at n=3)"
 
 
-def criterion_11_trichotomy(ctx: ReproContext) -> CriterionResult:
-    crits = 0
-    try:
-        for n in FIB_BASE_RANGE:
-            crits += ctx.construction(n, check_friendly=False).critical_count
-    except VerificationError as exc:
-        return CriterionResult(11, "trichotomy", False, str(exc))
-    return CriterionResult(
-        11, "trichotomy", True,
-        f"flippable <=> inserted-atom side <=> gap 1 on {crits} critical pairs",
-    )
+@criterion(11, "trichotomy")
+def criterion_11_trichotomy(ctx: ReproContext) -> str:
+    crits = sum(ctx.construction(n, check_friendly=False).critical_count for n in FIB_BASE_RANGE)
+    return f"flippable <=> inserted-atom side <=> gap 1 on {crits} critical pairs"
 
 
 def check_adjacency_budget(order: ComparativeOrder) -> tuple[bool, str]:
@@ -351,48 +342,25 @@ def check_adjacency_budget(order: ComparativeOrder) -> tuple[bool, str]:
     return True, ""
 
 
-def criterion_12_adjacency_budget(ctx: ReproContext) -> CriterionResult:
+@criterion(12, "adjacency-budget")
+def criterion_12_adjacency_budget(ctx: ReproContext) -> str:
     checked = 0
     for n in (1, 2, 3, 4, 5):
         for order in ctx.census(n).orders:
             ok, why = check_adjacency_budget(order)
             if not ok:
-                return CriterionResult(12, "adjacency-budget", False, f"census n={n}: {why}")
+                raise VerificationError(f"census n={n}: {why}")
             checked += 1
     for n in FIB_BASE_RANGE:
-        order = order_from_utilities(maclagan_utilities(n))
-        ok, why = check_adjacency_budget(order)
+        ok, why = check_adjacency_budget(order_from_utilities(maclagan_utilities(n)))
         if not ok:
-            return CriterionResult(12, "adjacency-budget", False, f"construction n={n}: {why}")
+            raise VerificationError(f"construction n={n}: {why}")
         checked += 1
-    return CriterionResult(
-        12, "adjacency-budget", True,
-        f"budget and distinct unions hold on {checked} orders",
-    )
-
-
-ALL_CRITERIA = {
-    1: criterion_1_fibonacci_counts,
-    2: criterion_2_friendliness,
-    3: criterion_3_gh_table,
-    4: criterion_4_small_censuses,
-    5: criterion_5_census_5,
-    7: criterion_7_theorem2,
-    8: criterion_8_cone_axioms,
-    9: criterion_9_bounds,
-    10: criterion_10_oracle,
-    11: criterion_11_trichotomy,
-    12: criterion_12_adjacency_budget,
-}
+    return f"budget and distinct unions hold on {checked} orders"
 
 
 def run_all(
     threads: int = 1, n6_budget: Optional[float] = None
 ) -> list[CriterionResult]:
-    ctx = ReproContext(threads=threads)
-    results = []
-    for number in sorted(ALL_CRITERIA):
-        results.append(ALL_CRITERIA[number](ctx))
-        if number == 5:
-            results.append(criterion_6_census_6(ctx, n6_budget))
-    return sorted(results, key=lambda r: r.number)
+    ctx = ReproContext(threads=threads, n6_budget=n6_budget)
+    return [ALL_CRITERIA[number](ctx) for number in sorted(ALL_CRITERIA)]

@@ -9,6 +9,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import pytest
 
 from cporders import repro
+from cporders.errors import VerificationError
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def test_criterion_05_census_5(ctx):
 
 
 def test_criterion_06_census_6(ctx):
-    report(repro.criterion_6_census_6(ctx, budget=None))
+    report(repro.criterion_6_census_6(ctx))
 
 
 def test_criterion_07_theorem2_bijection(ctx):
@@ -75,19 +76,76 @@ def test_criterion_12_adjacency_budget(ctx):
     report(repro.criterion_12_adjacency_budget(ctx))
 
 
-def test_criterion_06_runs_the_max_flip_shortcut(ctx, n5_census, monkeypatch):
+def test_criterion_06_runs_the_max_flip_shortcut(n5_census, monkeypatch):
     # the n=5 census without flags or edges stands in for the n=6 one
     bare = repro.OrderCensus(5, n5_census.orders)
     monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
-    result = repro.criterion_6_census_6(ctx, budget=1.0)
+    result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1.0))
     assert not result.passed and result.detail == "m(6)=8 != 13"
-    assert bare.irr_counts == n5_census.irr_counts
 
 
-def test_criterion_06_budget_covers_the_cone_stage(ctx, n5_census, monkeypatch):
+def test_criterion_06_decides_M6_on_the_max_flip_orders(n5_census, monkeypatch):
+    # five extra irreducibles per cone lift the n=5 maximum 8 to 13, so the
+    # nine 8-flip orders (all friendly) play the 13-flip orders
     bare = repro.OrderCensus(5, n5_census.orders)
     monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
-    result = repro.criterion_6_census_6(ctx, budget=1e-9)
+    real_irreducibles = repro.irreducible_elements
+    monkeypatch.setattr(
+        repro, "irreducible_elements", lambda cone: [*real_irreducibles(cone), *range(5)]
+    )
+    decided = []
+    real_decide = repro.is_representable
+
+    def decide(order):
+        decided.append(order)
+        return real_decide(order)
+
+    monkeypatch.setattr(repro, "is_representable", decide)
+    ctx = repro.ReproContext(n6_budget=60.0)
+    result = repro.criterion_6_census_6(ctx)
+    assert result.passed and not result.skipped
+    assert result.detail == "546 orders, m(6)=M(6)=13 (max-flip orders all friendly)"
+    assert len(decided) == n5_census.irr_counts.count(8) == 9
+    monkeypatch.setattr(repro, "unfriendly_flips", lambda order, utilities: [None])
+    result = repro.criterion_6_census_6(ctx)
+    assert not result.passed
+    assert result.detail == "a 13-flip order is nonrepresentable or has an unfriendly flip"
+
+
+def test_criterion_06_budget_covers_the_cone_stage(n5_census, monkeypatch):
+    bare = repro.OrderCensus(5, n5_census.orders)
+    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
+    result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1e-9))
     assert result.skipped and result.passed
     assert result.detail == "budget of 0s exhausted after 0 of 546 cones (reported, not failed)"
-    assert bare.irr_counts is None
+
+
+def test_registry_holds_the_module_criteria():
+    assert sorted(repro.ALL_CRITERIA) == list(range(1, 13))
+    for number, registered in repro.ALL_CRITERIA.items():
+        named = [fn for name, fn in vars(repro).items() if name.startswith(f"criterion_{number}_")]
+        assert len(named) == 1 and named[0] is registered
+
+
+def test_decorator_reports_pass_fail_and_skip(monkeypatch):
+    monkeypatch.setattr(repro, "ALL_CRITERIA", {})
+
+    @repro.criterion(3, "returns")
+    def passes(ctx):
+        return "fine"
+
+    @repro.criterion(1, "raises")
+    def fails(ctx):
+        raise VerificationError("broken")
+
+    @repro.criterion(2, "skips")
+    def skips(ctx):
+        raise repro.Skipped("later")
+
+    assert repro.ALL_CRITERIA == {1: fails, 2: skips, 3: passes}
+    got = [(r.number, r.name, r.status, r.detail) for r in repro.run_all()]
+    assert got == [
+        (1, "raises", "FAIL", "broken"),
+        (2, "skips", "SKIP", "later"),
+        (3, "returns", "PASS", "fine"),
+    ]

@@ -77,7 +77,7 @@ class TestCensusInvariants:
                     assert relabeled.ranked in index
 
     def test_edges_symmetric(self, n5_census):
-        seen = {(i, j) for i, row in enumerate(n5_census.edges) for j, _ in row}
+        seen = {(i, j) for i, row in enumerate(n5_census.edges) for j in row}
         assert all((j, i) in seen for i, j in seen)
 
     def test_all_n4_representable(self, n4_census):
@@ -153,13 +153,15 @@ class TestStats:
         stats = census_stats(n5_census)
         assert stats.max_facets == 8 and stats.max_irr_all_friendly
 
-    def test_flagless_max_flip_shortcut(self, n5_census):
-        bare = OrderCensus(5, n5_census.orders, irr_counts=n5_census.irr_counts)
-        stats = census_stats(bare)
-        assert stats.max_facets == 8
-        assert stats.max_facets_method == "max-flip-friendly"
-        assert stats.max_irr_all_friendly
-        assert stats.min_facets is None
+    def test_rejects_census_without_flags(self, n5_census):
+        bare = OrderCensus(
+            5, n5_census.orders, irr_counts=n5_census.irr_counts, edges=n5_census.edges
+        )
+        with pytest.raises(ValueError, match="representability flags"):
+            census_stats(bare)
+        bare.representable = [True] * (len(bare.orders) - 1) + [None]
+        with pytest.raises(ValueError, match="representability flags"):
+            census_stats(bare)
 
 
 class TestBudget:

@@ -178,8 +178,19 @@ class TestEnumerateAndStats:
         assert main(["stats", "--in", str(path)]) == 1
         assert "n=4" in capsys.readouterr().err
 
+    def test_stats_rejects_census_without_flags(self, capsys, tmp_path, n4_census):
+        from cporders.census import OrderCensus, write_census
+
+        path = tmp_path / "irr_only.ndjson"
+        write_census(OrderCensus(4, n4_census.orders, irr_counts=n4_census.irr_counts), path)
+        assert main(["stats", "--in", str(path)]) == 1
+        assert "representability flags" in capsys.readouterr().err
+
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4
+        assert capsys.readouterr().err.startswith(
+            "budget exhausted: enumeration of n=6 exceeded its budget after"
+        )
 
     def test_no_flags_builds_no_edges(self, capsys, monkeypatch):
         def refuse(census):
