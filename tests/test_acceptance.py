@@ -6,6 +6,8 @@ SKIP unless CPOL_N6_BUDGET (seconds) is set high enough for both stages.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import time
+
 import pytest
 
 from cporders import repro
@@ -118,6 +120,14 @@ def test_criterion_06_budget_covers_the_cone_stage(n5_census, monkeypatch):
     result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1e-9))
     assert result.skipped and result.passed
     assert result.detail == "budget of 0s exhausted after 0 of 546 cones (reported, not failed)"
+
+
+def test_criterion_06_cone_counts_agree_across_workers(n5_census):
+    later = time.monotonic() + 600
+    one = repro._irreducible_counts(n5_census.orders, later, threads=1)
+    two = repro._irreducible_counts(n5_census.orders, later, threads=2)
+    assert one == two == n5_census.irr_counts
+    assert repro._irreducible_counts(n5_census.orders, time.monotonic() - 1, threads=2) == []
 
 
 def test_registry_holds_the_module_criteria():

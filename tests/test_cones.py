@@ -1,5 +1,8 @@
 """Discrete cones, characteristic vectors, irreducible elements."""
 
+import itertools
+import random
+
 import pytest
 
 from cporders.cones import (
@@ -11,6 +14,7 @@ from cporders.cones import (
     unpack_ternary,
 )
 from cporders.errors import ConeAxiomError
+from cporders.repro import random_utility_order
 from cporders.orders import (
     Subset,
     lexicographic_utilities,
@@ -40,6 +44,46 @@ def brute_force_irreducibles(cone):
         if not reducible:
             out.add(w)
     return out
+
+
+def member_tuples(cone):
+    return {unpack_ternary(p, cone.n) for p in cone.packed_members()}
+
+
+def d2_oracle(cone):
+    """Of every nonzero vector and its negation exactly one is a member."""
+    members = member_tuples(cone)
+    return all(
+        (v in members) != (tuple(-e for e in v) in members)
+        for v in itertools.product((-1, 0, 1), repeat=cone.n)
+        if any(v)
+    )
+
+
+def d3_oracle(cone):
+    """Every ternary sum of two members is a member."""
+    members = member_tuples(cone)
+    for u, v in itertools.product(members, repeat=2):
+        s = tuple(a + b for a, b in zip(u, v))
+        if all(-1 <= e <= 1 for e in s) and s not in members:
+            return False
+    return True
+
+
+def swapped_cone(cone, rng, swap):
+    """A right-size cone: ``cone`` itself, or with one nonzero, non-basis
+    member x replaced by -x ("negate": D2 still holds) or by -y for another
+    member y ("other": y and -y are both members, so D2 fails)."""
+    if swap is None:
+        return cone
+    n = cone.n
+    basis = {(1 << i) << n for i in range(n)}
+    packed = sorted(cone.packed_members())
+    free = [p for p in packed if p and p not in basis]
+    x = rng.choice(free)
+    y = rng.choice([p for p in free if p != x]) if swap == "other" else x
+    negated = (y & ((1 << n) - 1)) << n | y >> n
+    return DiscreteCone(n, [p for p in packed if p != x] + [negated])
 
 
 class TestCharacteristicVector:
@@ -128,3 +172,50 @@ class TestIrreducibles:
     def test_basis_vector_can_be_irreducible(self):
         cone = cone_from_order(order_from_utilities((1, 2, 4)))
         assert (1, 0, 0) in irreducible_elements(cone)
+
+
+class TestAxiomChecks:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "swap, d2_holds, d3_breaks",
+        [(None, True, False), ("negate", True, True), ("other", False, True)],
+    )
+    def test_checks_match_tuple_oracles(self, n, swap, d2_holds, d3_breaks):
+        rng = random.Random(n)
+        d2_seen, d3_seen = set(), set()
+        for _ in range(25):
+            cone = swapped_cone(cone_from_order(random_utility_order(n, rng)), rng, swap)
+            d2, d3 = cone.check_d2_exhaustive(), cone.check_d3_exhaustive()
+            assert d2 == d2_oracle(cone)
+            assert d3 == d3_oracle(cone)
+            d2_seen.add(d2)
+            d3_seen.add(d3)
+        assert d2_seen == {d2_holds}
+        assert (False in d3_seen) == d3_breaks
+
+
+class TestIrreduciblesAgainstBruteForce:
+    def test_nonrepresentable_n5_orders(self, n5_census):
+        orders = [o for o, r in zip(n5_census.orders, n5_census.representable) if not r]
+        assert len(orders) == 30
+        for order in orders:
+            cone = cone_from_order(order)
+            assert irreducible_elements(cone) == brute_force_irreducibles(cone)
+
+    def test_random_six_atom_orders(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            cone = cone_from_order(random_utility_order(6, rng))
+            assert irreducible_elements(cone) == brute_force_irreducibles(cone)
+
+    def test_cone_breaking_d2(self):
+        # -e_1 replaces (-1,1,0): both +-e_1 are members and neither of
+        # +-(-1,1,0), so a kernel that read one sign off the other would err
+        cone = cone_from_order(order_from_utilities((1, 2, 4)))
+        x, y = pack_ternary((-1, 1, 0), 3), pack_ternary((-1, 0, 0), 3)
+        assert x in cone and y not in cone
+        broken = DiscreteCone(3, [p for p in cone.packed_members() if p != x] + [y])
+        assert not broken.check_d2_exhaustive()
+        irr = irreducible_elements(broken)
+        assert irr == brute_force_irreducibles(broken)
+        assert irr != irreducible_elements(cone)
