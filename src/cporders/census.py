@@ -47,9 +47,11 @@ class OrderCensus:
     certificates: dict = field(default_factory=dict, repr=False)
 
 
-def _generate_orders(n: int, deadline: Optional[float]) -> list[tuple[int, ...]]:
-    """Depth-first generation of ranked sequences of P_n*, in lexicographic
-    order of the sequence.
+def _generate_orders(n: int, deadline: Optional[float]) -> list[ComparativeOrder]:
+    """Depth-first generation of the orders of P_n*, in lexicographic order
+    of the ranked sequence.  Each returned order has passed
+    ``validate_order``; on an exhausted ``deadline`` the ResourceError's
+    ``partial`` holds the validated orders found so far.
 
     Only the bottom half of each order is searched: the union-consistency
     axiom forces rank(S) + rank(complement of S) = 2^n - 1, so every
@@ -82,15 +84,15 @@ def _generate_orders(n: int, deadline: Optional[float]) -> list[tuple[int, ...]]
     ranked = [0]  # bottom half only; complements are implied
     avoid = [[0] for _ in range(n)]
     took = [0] * n
-    results: list[tuple[int, ...]] = []
+    results: list[ComparativeOrder] = []
     counter = 0
 
     def walk() -> None:
         nonlocal counter
         if len(ranked) == half:
-            sequence = ranked + [low ^ s for s in reversed(ranked)]
-            if validate_order(ComparativeOrder(n, sequence)).ok:
-                results.append(tuple(sequence))
+            order = ComparativeOrder(n, ranked + [low ^ s for s in reversed(ranked)])
+            if validate_order(order).ok:
+                results.append(order)
             return
         counter += 1
         if deadline is not None and counter % 64 == 0 and time.monotonic() > deadline:
@@ -142,14 +144,12 @@ def enumerate_orders(
         raise ValueError(f"census enumeration supports 1 <= n <= 6, got {n}")
     deadline = time.monotonic() + budget if budget is not None else None
     try:
-        masks = _generate_orders(n, deadline)
+        orders = _generate_orders(n, deadline)
     except ResourceError as exc:
-        done = [ComparativeOrder(n, ranked) for ranked in exc.partial or []]
         raise ResourceError(
-            f"enumeration of n={n} exceeded its budget after {len(done)} orders",
-            partial=OrderCensus(n, done, complete=False),
+            f"enumeration of n={n} exceeded its budget after {len(exc.partial)} orders",
+            partial=OrderCensus(n, exc.partial, complete=False),
         ) from None
-    orders = [ComparativeOrder(n, ranked) for ranked in masks]
     census = OrderCensus(n, orders)
     if with_flags:
         _annotate_flags(census, deadline, checkpoint_path, threads=threads)

@@ -117,10 +117,12 @@ class DiscreteCone:
     D2: of every vector and its negation, exactly one is a member;
     D3: membership is closed under addition when the sum stays ternary.
 
-    D1 and the size implied by D2 (0 is a member, plus one of each +-pair)
-    are always enforced at construction.  The exhaustive checks are separate
-    methods on the 3^n-bit member set: D2 compares it with its negation, D3
-    makes one masked shift of it per member.
+    D1, the size implied by D2 (0 is a member, plus one of each +-pair) and
+    that every packed member is a ternary vector (it fits 2n bits and its
+    positive and negative parts are disjoint) are always enforced at
+    construction.  The exhaustive checks are separate methods on the
+    3^n-bit member set: D2 compares it with its negation, D3 makes one
+    masked shift of it per member.
     """
 
     __slots__ = ("n", "_packed")
@@ -132,6 +134,10 @@ class DiscreteCone:
             raise ConeAxiomError(
                 f"cone on {n} atoms must have {expected} members, got {len(packed)}"
             )
+        limit = 1 << 2 * n
+        bad = next((p for p in packed if not 0 <= p < limit or p >> n & p), None)
+        if bad is not None:
+            raise ConeAxiomError(f"packed member {bad} is not a ternary vector on {n} atoms")
         if 0 not in packed:
             raise ConeAxiomError("zero vector missing (violates D2)")
         for i in range(n):

@@ -3,6 +3,11 @@ validation, and the classic integer-utility constructions
 (binary/lexicographic weights, odd-value insertion) used to build orders
 with many flippable pairs.
 
+An order is built from its ranked masks alone: the constructor checks, at
+builtin speed, that they are a permutation of all 2^n masks, and the
+inverse (rank by mask) is built on first read of ``position``, so an order
+that is only compared or hashed never pays for it.
+
 An order is validated by single-atom monotonicity: union consistency holds
 iff S -> S|{c} is increasing for every atom c, and the first atom map that
 is not names a violating triple.
@@ -15,6 +20,7 @@ machine word, while utilities themselves may be arbitrarily large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -123,29 +129,45 @@ def check_utilities(utilities: Sequence[int]) -> tuple[int, ...]:
     return u
 
 
+@cache
+def _all_masks(n: int) -> frozenset[int]:
+    return frozenset(range(1 << n))
+
+
 class ComparativeOrder:
     """A linear order on all 2^n subsets of [n], smallest first.
 
-    Stored as both the ranked sequence of masks and its inverse (rank by
-    mask).  Construction only checks the permutation/inverse structure;
-    the semantic axioms are checked by :func:`validate_order`.  Instances
-    are immutable and hashable.
+    Stored as the ranked sequence of masks; its inverse, ``position`` (rank
+    by mask), is built on first read and kept.  Construction only checks
+    that ``ranked`` is a permutation of all masks; the semantic axioms are
+    checked by :func:`validate_order`.  Instances are immutable and
+    hashable.
     """
 
-    __slots__ = ("n", "ranked", "position")
+    __slots__ = ("n", "ranked", "_position")
 
     def __init__(self, n: int, ranked: Sequence[int]):
         _check_n(n)
         full = 1 << n
         ranked = tuple(ranked)
-        if len(ranked) != full or not set(ranked).issuperset(range(full)):
+        # equal length and equal sets: no mask repeats and none is missing
+        if len(ranked) != full or _all_masks(n) != set(ranked):
             raise ValueError(f"ranked must be a permutation of 0..{full - 1}")
-        position = [0] * full
-        for rank, mask in enumerate(ranked):
-            position[mask] = rank
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ranked", ranked)
-        object.__setattr__(self, "position", tuple(position))
+        object.__setattr__(self, "_position", None)
+
+    @property
+    def position(self) -> tuple[int, ...]:
+        """Rank of every mask, indexed by mask."""
+        position = self._position
+        if position is None:
+            inverse = [0] * len(self.ranked)
+            for rank, mask in enumerate(self.ranked):
+                inverse[mask] = rank
+            position = tuple(inverse)
+            object.__setattr__(self, "_position", position)
+        return position
 
     def __setattr__(self, name, value):
         raise AttributeError("ComparativeOrder is immutable")

@@ -151,12 +151,12 @@ def criterion_2_friendliness(ctx: ReproContext) -> str:
 
 @criterion(3, "gh-table")
 def criterion_3_gh_table(ctx: ReproContext) -> str:
-    g3h3 = gh_counts(3)
-    g4h4 = gh_counts(4)
+    table = [gh_counts(n) for n in range(3, 19)]
+    g3h3, g4h4 = table[:2]
     if (g3h3.g, g3h3.h) != (2, 3) or (g4h4.g, g4h4.h) != (5, 3):
         raise VerificationError(f"seeds wrong: {g3h3}, {g4h4}")
-    for n in range(3, 18):
-        cur, nxt = gh_counts(n), gh_counts(n + 1)
+    for cur, nxt in zip(table, table[1:]):
+        n = cur.n
         if n % 2 == 1:
             ok = nxt.g == cur.g + cur.h and nxt.h == cur.h
         else:

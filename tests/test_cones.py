@@ -146,6 +146,17 @@ class TestConeFromOrder:
         with pytest.raises(ConeAxiomError):
             DiscreteCone(2, bad)
 
+    @pytest.mark.parametrize(
+        "stray",
+        [1 << 9, 1 << 4, 5, -1],
+        ids=["beyond-2n-bits", "bit-2n", "pos-and-neg-overlap", "negative"],
+    )
+    def test_rejects_members_that_are_not_ternary(self, stray):
+        # right size, holds 0 and both basis vectors; only the stray
+        # member is malformed (5 sets atom 1 both positive and negative)
+        with pytest.raises(ConeAxiomError, match="not a ternary vector"):
+            DiscreteCone(2, [0, 4, 8, 3, stray])
+
 
 class TestIrreducibles:
     def test_lexicographic_n3_exact(self):

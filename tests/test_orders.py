@@ -1,12 +1,15 @@
 """Subset algebra, order construction and validation, utility constructions."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cporders.census import enumerate_orders
 from cporders.errors import DuplicateError, NotSortedError, TieError
+from cporders.flips import flip, flippable_pairs
 from cporders.orders import (
     ComparativeOrder,
     Subset,
@@ -128,6 +131,57 @@ class TestValidateOrder:
         order = order_from_utilities((3, 5, 9, 18))
         for k in range(16):
             assert order.rank(order.ranked[k]) == k
+
+
+def assert_position_inverts(order):
+    assert len(order.position) == len(order.ranked)
+    for r, mask in enumerate(order.ranked):
+        assert order.position[mask] == r
+
+
+class TestComparativeOrder:
+    @pytest.mark.parametrize(
+        "ranked",
+        [(0, 1, 2), (0, 1, 2, 3, 3), (0, 1, 1, 3), (0, 1, 2, 4), (0, 1, 2, -1), (0, 1, -3, 3)],
+        ids=["short", "long", "repeated", "mask-too-large", "negative", "negative-alias"],
+    )
+    def test_rejects_non_permutations(self, ranked):
+        with pytest.raises(ValueError, match="permutation of 0..3"):
+            ComparativeOrder(2, ranked)
+
+    def test_position_inverts_census_orders(self, n3_census, n4_census, n5_census):
+        small = [enumerate_orders(n, with_flags=False, with_edges=False) for n in (1, 2)]
+        for census in small + [n3_census, n4_census, n5_census]:
+            for order in census.orders:
+                assert_position_inverts(order)
+
+    def test_position_of_a_12_atom_flip_neighbour_and_its_pickle(self):
+        order = order_from_utilities(maclagan_utilities(11))
+        pair = next(fp for fp in flippable_pairs(order) if fp.a.mask != 0)
+        neighbor = flip(order, pair)
+        # the pickle is taken before the inverse is ever read, as a worker
+        # process receives a freshly flipped order
+        copy = pickle.loads(pickle.dumps(neighbor))
+        assert_position_inverts(neighbor)
+        assert_position_inverts(copy)
+        assert copy == neighbor and hash(copy) == hash(neighbor)
+        assert copy.position == neighbor.position
+        # flipping back recovers the base order, inverse included
+        image = next(fp for fp in flippable_pairs(neighbor) if (fp.a, fp.b) == (pair.b, pair.a))
+        back = flip(neighbor, image)
+        assert back == order and back.position == order.position
+
+    def test_position_and_its_cache_are_read_only(self):
+        order = order_from_utilities((1, 2, 4))
+        inverse = order.position
+        with pytest.raises(AttributeError):
+            order.position = inverse
+        with pytest.raises(AttributeError):
+            order._position = None
+        with pytest.raises(AttributeError):
+            object.__setattr__(order, "position", inverse)
+        assert order.position is inverse
+        assert_position_inverts(order)
 
 
 class TestLexicographicUtilities:
