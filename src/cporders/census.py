@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
@@ -26,13 +27,14 @@ from .cones import cone_from_order, irreducible_elements
 from .errors import ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
 from .orders import ComparativeOrder, order_from_line, order_to_line, validate_order
-from .represent import Certificate, is_representable
+from .represent import is_representable
 
 
 @dataclass
 class OrderCensus:
     """All orders of P_n* (singletons ascending), with optional parallel
-    representability flags, irreducible counts, and flip edges.
+    representability flags (``is_representable`` rebuilds the certificate
+    behind a flag on demand), irreducible counts, and flip edges.
 
     An edge j in ``edges[i]`` means flipping some pair of order i lands on
     order j, possibly after relabeling the atoms so the singletons ascend.
@@ -44,7 +46,6 @@ class OrderCensus:
     irr_counts: Optional[list[int]] = None
     edges: Optional[list[list[int]]] = None
     complete: bool = True
-    certificates: dict = field(default_factory=dict, repr=False)
 
 
 def _generate_orders(n: int, deadline: Optional[float]) -> list[ComparativeOrder]:
@@ -158,14 +159,51 @@ def enumerate_orders(
     return census
 
 
-def _flag_worker(order: ComparativeOrder) -> tuple[Certificate, int]:
-    return is_representable(order), len(irreducible_elements(cone_from_order(order)))
+@contextmanager
+def worker_map(fn, items, threads: int, chunksize: int):
+    """``fn`` over ``items`` in order: ``pool.map`` over ``threads`` worker
+    processes when threads > 1, a plain ``map`` otherwise.  Leaving the
+    block cancels the chunks not yet started and shuts the pool down, so a
+    caller may stop taking results early (at its own deadline)."""
+    if threads <= 1:
+        yield map(fn, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms import, only when used
+
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        yield pool.map(fn, items, chunksize=chunksize)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _flag_worker(order: ComparativeOrder) -> tuple[bool, int]:
+    return is_representable(order).representable, len(irreducible_elements(cone_from_order(order)))
+
+
+def _parse_record(text: str, where: str) -> dict:
+    """One census or checkpoint record: a JSON object with a string
+    ``order``, a bool ``representable`` and an int ``irr`` >= 0 where these
+    are present.  Anything else raises ValueError naming ``where``."""
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: not a JSON record: {exc}") from None
+    if not isinstance(record, dict) or not isinstance(record.get("order"), str):
+        raise ValueError(f'{where}: a record must be an object with a string "order"')
+    if not isinstance(record.get("representable", False), bool):
+        raise ValueError(f'{where}: "representable" must be true or false')
+    irr = record.get("irr", 0)
+    if not isinstance(irr, int) or isinstance(irr, bool) or irr < 0:
+        raise ValueError(f'{where}: "irr" must be an integer >= 0')
+    return record
 
 
 def _read_checkpoint(path) -> dict[str, tuple[bool, int]]:
-    """Flags recorded in a checkpoint file, keyed by order line.  Text after
-    the last newline is a record torn by an interrupted write: it is cut
-    from the file, so the next append starts on a fresh line."""
+    """Flags recorded in a checkpoint file, keyed by order line; every
+    record must hold both flags.  Text after the last newline is a record
+    torn by an interrupted write: it is cut from the file, so the next
+    append starts on a fresh line."""
     try:
         with open(path, "rb+") as fh:
             data = fh.read()
@@ -175,59 +213,46 @@ def _read_checkpoint(path) -> dict[str, tuple[bool, int]]:
     except FileNotFoundError:
         return {}
     known = {}
-    for raw in data[:complete].decode("utf-8").splitlines():
-        rec = json.loads(raw)
+    for number, raw in enumerate(data[:complete].decode("utf-8").splitlines(), 1):
+        rec = _parse_record(raw, f"{path}:{number}")
+        if "representable" not in rec or "irr" not in rec:
+            raise ValueError(f"{path}:{number}: a checkpoint record needs both flags")
         known[rec["order"]] = (rec["representable"], rec["irr"])
     return known
 
 
 def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None:
-    known = _read_checkpoint(checkpoint_path) if checkpoint_path is not None else {}
+    """Fill the flags and irreducible counts in place, so an exhausted budget
+    leaves the partial flags behind.  Order lines, the checkpoint's keys, are
+    built only when there is a checkpoint."""
     total = len(census.orders)
-    lines = [order_to_line(o) for o in census.orders]
-    # filled in place, so an exhausted budget leaves the partial flags behind
     representable = census.representable = [None] * total
     irr_counts = census.irr_counts = [None] * total
-    pending = []
-    for i, line in enumerate(lines):
-        if line in known:
-            representable[i], irr_counts[i] = known[line]
-        else:
-            pending.append(i)
+    if checkpoint_path is not None:
+        known = _read_checkpoint(checkpoint_path)
+        lines = [order_to_line(o) for o in census.orders]
+        for i, line in enumerate(lines):
+            if line in known:
+                representable[i], irr_counts[i] = known[line]
+    pending = [i for i in range(total) if representable[i] is None]
 
-    sink = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    opened = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext()
     todo = (census.orders[i] for i in pending)
-    pool = None
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms import, only when used
-
-        pool = ProcessPoolExecutor(max_workers=threads)
-        flagged = pool.map(_flag_worker, todo, chunksize=8)
-    else:
-        flagged = map(_flag_worker, todo)
     done = total - len(pending)
-    try:
-        for i, (cert, irr) in zip(pending, flagged):
-            census.certificates[census.orders[i]] = cert
-            representable[i], irr_counts[i] = cert.representable, irr
+    with opened as sink, worker_map(_flag_worker, todo, threads, chunksize=8) as flagged:
+        for i, (rep, irr) in zip(pending, flagged):
+            representable[i], irr_counts[i] = rep, irr
             done += 1
             if sink is not None:
-                record = {"order": lines[i], "representable": cert.representable, "irr": irr}
+                record = {"order": lines[i], "representable": rep, "irr": irr}
                 sink.write(json.dumps(record, sort_keys=True) + "\n")
                 sink.flush()
             if deadline is not None and done < total and time.monotonic() > deadline:
+                census.complete = False
                 raise ResourceError(
                     f"flag budget exhausted after {done} of {total} orders",
                     partial=census,
                 )
-    except ResourceError:
-        census.complete = False
-        raise
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        if sink is not None:
-            sink.close()
 
 
 def singleton_relabeling(order: ComparativeOrder) -> tuple[int, ...]:
@@ -405,6 +430,8 @@ def write_census(census: OrderCensus, path) -> None:
 
 
 def read_census(path) -> OrderCensus:
+    """The census in an NDJSON file; a malformed record raises ValueError
+    naming ``path:line``."""
     orders = []
     rep: list = []
     irr: list = []
@@ -413,8 +440,11 @@ def read_census(path) -> OrderCensus:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            order = order_from_line(record["order"])
+            record = _parse_record(line, f"{path}:{number}")
+            try:
+                order = order_from_line(record["order"])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
             if orders and order.n != orders[0].n:
                 raise ValueError(
                     f"{path}:{number}: census record has n={order.n}, "

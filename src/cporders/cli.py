@@ -229,13 +229,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_fibonacci(args) -> int:
-    try:
-        report = verify_fibonacci_construction(
-            args.n, check_friendly=not args.skip_friendly, allow_large=args.allow_large
-        )
-    except VerificationError as exc:
-        print(f"verification FAILED: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    report = verify_fibonacci_construction(
+        args.n, check_friendly=not args.skip_friendly, allow_large=args.allow_large
+    )
     payload = {
         "base_n": report.base_n,
         "atoms": report.atoms,

@@ -123,8 +123,8 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
         ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
     result = ComparativeOrder(order.n, ranked)
     # capped at 5 atoms: validate_order makes n passes over the order, which
-    # at 12 atoms (~3.9 ms) still costs more than a flip plus the hint check
-    # of the neighbour it yields (~0.2 + ~1.5 ms), and verify-fibonacci
+    # at 12 atoms (~3.4 ms) still costs more than a flip plus the hint check
+    # of the neighbour it yields (~0.2 + ~0.75 ms), and verify-fibonacci
     # flips every flippable pair
     if order.n <= 5 and not validate_order(result).ok:
         raise VerificationError(f"flip over ({pair.a}, {pair.b}) gave an invalid order")

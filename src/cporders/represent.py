@@ -11,22 +11,23 @@ Gordan's alternative exactly one of that system and {y >= 0, sum_k y_k d_k
 integers, is a trading transform (Kraft-Pratt-Seidenberg): y_k copies of
 (S_k \\ S_{k+1}, S_{k+1} \\ S_k).  Otherwise the Farkas multipliers lambda give
 utilities u_i = lambda_{n+i} - lambda_i with u . d_k >= lambda_{2n} > 0.
-Each verdict is re-checked without the solver before it is returned, and a
-failed check raises VerificationError, also under ``python -O``.
+Utilities must re-derive the order and a transform must pass its checker
+before a verdict is returned; else VerificationError, also under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import lt
 from typing import Optional, Sequence
 
 from .cones import cone_from_order, unpack_ternary
-from .errors import LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError
+from .errors import (
+    LengthMismatchError, NotNeighborsError, NotRepresentableError, TieError, VerificationError,
+)
 from .flips import FlippablePair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
-from .orders import ComparativeOrder, Subset, order_from_utilities, subset_sums
+from .orders import ComparativeOrder, Subset, order_from_utilities
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,16 @@ class Certificate:
         return out
 
 
-def _increasing_along(order: ComparativeOrder, utilities: Sequence[int]) -> bool:
-    """Whether the utility sums strictly increase along the order's ranking."""
-    sums = subset_sums(utilities)
-    along = list(map(sums.__getitem__, order.ranked))
-    return all(map(lt, along, along[1:]))
+def _rederives(order: ComparativeOrder, utilities: tuple[int, ...]) -> bool:
+    """Whether ``utilities`` are n positive ints, free of ties, that induce
+    exactly ``order``.  A tie-free sort that reproduces the ranking rises
+    strictly along it, so no separate gap test is needed."""
+    if len(utilities) != order.n or not all(v > 0 for v in utilities):
+        return False
+    try:
+        return order_from_utilities(utilities) == order
+    except TieError:
+        return False
 
 
 def _scale_to_integers(values) -> tuple[int, ...]:
@@ -121,28 +127,23 @@ def is_representable(
     ranked first.
 
     ``hint`` is an optional candidate integer utility vector tried before
-    any pivoting (e.g. a perturbed witness for a flip neighbour); a hint
-    never changes the verdict, only the route to it.
+    any pivoting (e.g. a perturbed witness for a flip neighbour).  It is
+    accepted exactly when it re-derives the order, as LP utilities must; a
+    hint never changes the verdict, only the route to it.
     """
     n = order.n
     if order.ranked[0] != 0:
         raise ValueError("the empty set must rank first")
     if hint is not None:
         candidate = tuple(int(v) for v in hint)
-        if (
-            len(candidate) == n
-            and all(v > 0 for v in candidate)
-            and _increasing_along(order, candidate)
-        ):
-            if order_from_utilities(candidate) != order:
-                raise VerificationError("hint passes every gap but does not re-derive the order")
+        if _rederives(order, candidate):
             return Certificate("representable", utilities=candidate)
 
     result = solve_feasibility(*_gordan_system(order))
     if result.solution is None:
         lam = result.farkas
         utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
-        if not _increasing_along(order, utilities) or order_from_utilities(utilities) != order:
+        if not _rederives(order, utilities):
             raise VerificationError(f"Farkas utilities {utilities} do not re-derive the order")
         return Certificate("representable", utilities=utilities)
 

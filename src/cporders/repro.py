@@ -33,6 +33,7 @@ from .census import (
     brute_force_oracle,
     census_stats,
     enumerate_orders,
+    worker_map,
 )
 from .cones import characteristic_vector, cone_from_order, irreducible_elements
 from .errors import ResourceError, TieError, VerificationError
@@ -216,23 +217,12 @@ def _irreducible_counts(
     """Irreducible-element counts of the orders' cones, in order, over
     ``threads`` worker processes when threads > 1.  The deadline is checked
     before each result is taken; past it, the counts so far are returned."""
-    pool = None
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms import, only when used
-
-        pool = ProcessPoolExecutor(max_workers=threads)
-        results = pool.map(_irreducible_count, orders, chunksize=256)
-    else:
-        results = map(_irreducible_count, orders)
     counts = []
-    try:
+    with worker_map(_irreducible_count, orders, threads, chunksize=256) as results:
         for _ in orders:
             if time.monotonic() > deadline:
                 break
             counts.append(next(results))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return counts
 
 

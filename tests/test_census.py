@@ -11,6 +11,7 @@ from cporders.census import (
     read_census,
     relabel_order,
     singleton_relabeling,
+    worker_map,
     write_census,
 )
 from cporders.errors import ResourceError
@@ -206,6 +207,27 @@ class TestPersistence:
         assert second.representable == first.representable
         assert second.irr_counts == first.irr_counts
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"a": 1}',
+            "[1, 2]",
+            '{"order": 5, "representable": true, "irr": 1}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": 1, "irr": 1}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": true, "irr": "x"}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": true, "irr": -1}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": true, "irr": true}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "irr": 1}',
+            "not json",
+        ],
+    )
+    def test_checkpoint_malformed_record(self, tmp_path, record):
+        check = tmp_path / "flags3.ndjson"
+        enumerate_orders(3, checkpoint_path=check)
+        check.write_text(check.read_text() + record + "\n")
+        with pytest.raises(ValueError, match="flags3.ndjson:3: "):
+            enumerate_orders(3, checkpoint_path=check)
+
     def test_checkpoint_torn_last_record(self, tmp_path):
         check = tmp_path / "flags4.ndjson"
         first = enumerate_orders(4, checkpoint_path=check)
@@ -219,8 +241,38 @@ class TestPersistence:
 
 class TestFlagWorkers:
     def test_pool_keeps_certificates(self, n4_census):
+        # the census keeps flags only; each pooled flag's certificate is
+        # decided again and must re-derive its order
         pooled = enumerate_orders(4, with_edges=False, threads=2)
         assert pooled.representable == n4_census.representable
         assert pooled.irr_counts == n4_census.irr_counts
         for order in pooled.orders:
-            assert order_from_utilities(pooled.certificates[order].utilities) == order
+            assert order_from_utilities(is_representable(order).utilities) == order
+
+    def test_no_order_lines_without_a_checkpoint(self, monkeypatch, n4_census):
+        def refuse(order):
+            raise AssertionError("order line built without a checkpoint")
+
+        monkeypatch.setattr("cporders.census.order_to_line", refuse)
+        census = enumerate_orders(4, with_edges=False)
+        assert census.representable == n4_census.representable
+        assert census.irr_counts == n4_census.irr_counts
+
+
+class TestWorkerMap:
+    def test_leaving_early_shuts_the_pool_down(self, monkeypatch):
+        import concurrent.futures
+
+        calls = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                calls.append(kwargs)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        with pytest.raises(KeyError):
+            with worker_map(abs, range(1000), 2, chunksize=8) as results:
+                next(results)
+                raise KeyError("stop early")
+        assert calls == [{"cancel_futures": True}]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cporders.cli import main
+from cporders.errors import VerificationError
 
 
 @pytest.fixture()
@@ -186,6 +187,35 @@ class TestEnumerateAndStats:
         assert main(["stats", "--in", str(path)]) == 1
         assert "representability flags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"x": 1}',
+            "[1, 2]",
+            '{"order": 5}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": true, "irr": "x"}',
+            '{"order": "3;-;1;2;3;1,2;1,3;2,3;1,2,3", "representable": "yes", "irr": 1}',
+            '{"order": "3;-;1;2;3"}',
+        ],
+    )
+    def test_stats_rejects_malformed_record(self, capsys, tmp_path, record):
+        path = tmp_path / "census3.ndjson"
+        code, _ = run(capsys, ["enumerate", "--n", "3", "--out", str(path)])
+        assert code == 0
+        path.write_text(path.read_text() + record + "\n")
+        assert main(["stats", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: ")
+        assert "Traceback" not in err
+
+    def test_enumerate_rejects_malformed_checkpoint(self, capsys, tmp_path):
+        check = tmp_path / "flags3.ndjson"
+        check.write_text('{"a": 1}\n')
+        assert main(["enumerate", "--n", "3", "--checkpoint", str(check)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {check}:1: ")
+        assert "Traceback" not in err
+
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4
         assert capsys.readouterr().err.startswith(
@@ -219,6 +249,14 @@ class TestBoundsAndVerify:
 
     def test_verify_fibonacci_large_needs_flag(self, capsys):
         assert main(["verify-fibonacci", "--n", "12"]) == 1
+
+    def test_verify_fibonacci_failure_exits_two(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise VerificationError("F(n+1) mismatch")
+
+        monkeypatch.setattr("cporders.cli.verify_fibonacci_construction", fail)
+        assert main(["verify-fibonacci", "--n", "4"]) == 2
+        assert capsys.readouterr().err == "verification failed: F(n+1) mismatch\n"
 
 
 class TestUsage:

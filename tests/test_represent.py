@@ -149,6 +149,54 @@ class TestIsRepresentable:
         assert cert.representable
         assert order_from_utilities(cert.utilities) == order
 
+    @pytest.mark.parametrize(
+        "hint,solves",
+        [
+            ((3, 5, 9), 0),
+            ((6, 10, 18), 0),
+            ((3, 5), 1),  # wrong length
+            ((3, 5, 9, 11), 1),
+            ((0, 5, 9), 1),  # a zero
+            ((3, -5, 9), 1),  # a negative entry
+            ((1, 1, 2), 1),  # a tie
+            ((3, 5, 7), 1),  # another ranking
+        ],
+    )
+    def test_hint_taken_exactly_when_it_rederives(self, monkeypatch, hint, solves):
+        order = order_from_utilities((3, 5, 9))
+        calls = []
+
+        def counted(rows, rhs):
+            calls.append(len(rows))
+            return solve_feasibility(rows, rhs)
+
+        monkeypatch.setattr("cporders.represent.solve_feasibility", counted)
+        cert = is_representable(order, hint=hint)
+        assert len(calls) == solves
+        assert cert.representable and order_from_utilities(cert.utilities) == order
+        if not solves:
+            assert cert.utilities == hint
+
+    def test_hint_on_a_nonrepresentable_order_keeps_the_verdict(self, n5_census):
+        order = n5_census.orders[n5_census.representable.index(False)]
+        for hint in ((1, 2, 4, 8, 16), (5, 7, 11, 13, 17)):
+            cert = is_representable(order, hint=hint)
+            assert not cert.representable
+            assert check_trading_transform(cert.transform, order)
+
+    @pytest.mark.parametrize("utilities", [(0, 0, 0), (9, 5, 3), (1, 1, 2), (3, 5, 0)])
+    def test_bogus_farkas_utilities_raise(self, monkeypatch, utilities):
+        # lambda_{n+i} - lambda_i = u_i, so these multipliers give ``utilities``
+        n = 3
+        lam = [0] * (2 * n + 1)
+        for i, value in enumerate(utilities):
+            lam[n + i] = value
+        monkeypatch.setattr(
+            "cporders.represent.solve_feasibility", lambda rows, rhs: Feasibility(None, lam)
+        )
+        with pytest.raises(VerificationError, match="do not re-derive"):
+            is_representable(order_from_utilities((3, 5, 9)))
+
     def test_nonrepresentable_from_census(self, n5_census):
         nonrep = [
             o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep
@@ -161,9 +209,11 @@ class TestIsRepresentable:
         assert check_trading_transform(cert.transform, nonrep[0])
 
     def test_census_certificates_check_independently(self, n5_census):
+        # the census keeps flags only; each order's certificate is decided
+        # again here and checked against its flag
         rep = nonrep = 0
         for order, flag in zip(n5_census.orders, n5_census.representable):
-            cert = n5_census.certificates[order]
+            cert = is_representable(order)
             assert cert.representable == flag
             if flag:
                 assert order_from_utilities(cert.utilities) == order
