@@ -199,11 +199,11 @@ def _parse_record(text: str, where: str) -> dict:
     return record
 
 
-def _read_checkpoint(path) -> dict[str, tuple[bool, int]]:
+def _read_checkpoint(path, n: int) -> dict[str, tuple[bool, int]]:
     """Flags recorded in a checkpoint file, keyed by order line; every
-    record must hold both flags.  Text after the last newline is a record
-    torn by an interrupted write: it is cut from the file, so the next
-    append starts on a fresh line."""
+    record must hold both flags and name ``n`` atoms in its order line.
+    Text after the last newline is a record torn by an interrupted write:
+    it is cut from the file, so the next append starts on a fresh line."""
     try:
         with open(path, "rb+") as fh:
             data = fh.read()
@@ -217,6 +217,11 @@ def _read_checkpoint(path) -> dict[str, tuple[bool, int]]:
         rec = _parse_record(raw, f"{path}:{number}")
         if "representable" not in rec or "irr" not in rec:
             raise ValueError(f"{path}:{number}: a checkpoint record needs both flags")
+        head = rec["order"].partition(";")[0]
+        if head != str(n):
+            raise ValueError(
+                f"{path}:{number}: checkpoint record has n={head}, this census has n={n}"
+            )
         known[rec["order"]] = (rec["representable"], rec["irr"])
     return known
 
@@ -229,7 +234,7 @@ def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None
     representable = census.representable = [None] * total
     irr_counts = census.irr_counts = [None] * total
     if checkpoint_path is not None:
-        known = _read_checkpoint(checkpoint_path)
+        known = _read_checkpoint(checkpoint_path, census.n)
         lines = [order_to_line(o) for o in census.orders]
         for i, line in enumerate(lines):
             if line in known:

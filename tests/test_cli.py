@@ -216,6 +216,17 @@ class TestEnumerateAndStats:
         assert err.startswith(f"error: {check}:1: ")
         assert "Traceback" not in err
 
+    def test_enumerate_rejects_checkpoint_for_another_n(self, capsys, tmp_path):
+        check = tmp_path / "flags.ndjson"
+        code, _ = run(capsys, ["enumerate", "--n", "3", "--checkpoint", str(check)])
+        assert code == 0
+        written = check.read_text()
+        assert main(["enumerate", "--n", "4", "--checkpoint", str(check)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {check}:1: checkpoint record has n=3, this census has n=4")
+        assert "Traceback" not in err
+        assert check.read_text() == written  # no four-atom record appended
+
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4
         assert capsys.readouterr().err.startswith(

@@ -13,6 +13,7 @@ from cporders.cones import (
     pack_ternary,
     unpack_ternary,
 )
+from cporders.census import enumerate_orders
 from cporders.errors import ConeAxiomError
 from cporders.repro import random_utility_order
 from cporders.orders import (
@@ -44,6 +45,19 @@ def brute_force_irreducibles(cone):
         if not reducible:
             out.add(w)
     return out
+
+
+def disjoint_pair_members(order):
+    """Packed members of the order's cone by a plain scan of the disjoint
+    pairs: chi(A,B) for the one of A, B that ranks first."""
+    n, full = order.n, 1 << order.n
+    rank = order.position
+    packed = {0}
+    for a in range(full):
+        for b in range(a + 1, full):
+            if not a & b:
+                packed.add(b << n | a if rank[a] < rank[b] else a << n | b)
+    return packed
 
 
 def member_tuples(cone):
@@ -138,6 +152,36 @@ class TestConeFromOrder:
         assert cone.check_d2_exhaustive()
         assert cone.check_d3_exhaustive()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_disjoint_pair_oracle_on_census(self, n):
+        for order in enumerate_orders(n, with_flags=False, with_edges=False).orders:
+            assert cone_from_order(order).packed_members() == disjoint_pair_members(order)
+
+    def test_matches_disjoint_pair_oracle_on_random_orders(self):
+        rng = random.Random(678)
+        for n in (6, 7, 8):
+            for _ in range(5):
+                order = random_utility_order(n, rng)
+                assert cone_from_order(order).packed_members() == disjoint_pair_members(order)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_packed_members_round_trip(self, n):
+        cone = cone_from_order(random_utility_order(n, random.Random(n)))
+        packed = cone.packed_members()
+        rebuilt = DiscreteCone(n, packed)
+        assert rebuilt.packed_members() == packed
+        assert len(rebuilt) == len(cone) == len(packed)
+        assert all(p in rebuilt and p in cone for p in packed)
+        assert irreducible_elements(rebuilt) == irreducible_elements(cone)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_non_ternary_ints_are_not_members(self, n):
+        cone = cone_from_order(order_from_utilities(lexicographic_utilities(n)))
+        overlap = 1 << n | 1  # atom 1 both positive and negative
+        for stray in (1 << 2 * n, overlap, -1):
+            assert stray not in cone
+        assert 1 << n in cone  # e_1
+
     def test_rejects_non_cone(self):
         with pytest.raises(ConeAxiomError):
             DiscreteCone(2, [0])  # wrong size
@@ -218,6 +262,22 @@ class TestIrreduciblesAgainstBruteForce:
         for _ in range(20):
             cone = cone_from_order(random_utility_order(6, rng))
             assert irreducible_elements(cone) == brute_force_irreducibles(cone)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cone_breaking_d2_at_support_two(self, n):
+        # a member x with two nonzero entries is replaced by -y for another
+        # such member y: neither of +-x is a member and both of +-y are, so
+        # the prune by members of support <= 2 meets both defects
+        rng = random.Random(n)
+        low = (1 << n) - 1
+        for _ in range(10):
+            cone = cone_from_order(random_utility_order(n, rng))
+            packed = sorted(cone.packed_members())
+            pairs = [p for p in packed if (p >> n | p & low).bit_count() == 2]
+            x, y = rng.sample(pairs, 2)
+            broken = DiscreteCone(n, [p for p in packed if p != x] + [(y & low) << n | y >> n])
+            assert not broken.check_d2_exhaustive()
+            assert irreducible_elements(broken) == brute_force_irreducibles(broken)
 
     def test_cone_breaking_d2(self):
         # -e_1 replaces (-1,1,0): both +-e_1 are members and neither of

@@ -1,10 +1,12 @@
 """Critical pairs, flippability, the flip operation, and facet counting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cporders.cones import cone_from_order, irreducible_elements
+from cporders.cones import characteristic_vector, cone_from_order, irreducible_elements
 from cporders.errors import EmptySideError, NotRepresentableError, TieError, VerificationError
 from cporders.flips import (
     CriticalPair,
@@ -24,6 +26,7 @@ from cporders.orders import (
     validate_order,
 )
 from cporders.represent import facet_count
+from cporders.repro import random_utility_order
 
 
 @pytest.fixture(scope="module")
@@ -224,19 +227,36 @@ class TestFacetCount:
 
 
 class TestTheorem2Bijection:
-    @pytest.mark.parametrize(
-        "utilities",
-        [(1,), (1, 2), (1, 2, 4), (2, 3, 4), (2, 3, 4, 8), (2, 4, 5, 8, 16)],
-    )
-    def test_flippable_pairs_match_irreducibles(self, utilities):
-        from cporders.cones import characteristic_vector
-
-        order = order_from_utilities(utilities)
+    @staticmethod
+    def assert_bijection(order):
         pairs = flippable_pairs(order)
         chi = {characteristic_vector(fp.a, fp.b) for fp in pairs}
         irr = irreducible_elements(cone_from_order(order))
         assert chi == set(irr)
         assert len(chi) == len(pairs)
+
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            (1,),
+            (1, 2),
+            (1, 2, 4),
+            (2, 3, 4),
+            (2, 3, 4, 8),
+            (2, 4, 5, 8, 16),
+            maclagan_utilities(9),  # 10 atoms, F_11 = 89 flippable pairs
+        ],
+    )
+    def test_flippable_pairs_match_irreducibles(self, utilities):
+        self.assert_bijection(order_from_utilities(utilities))
+
+    def test_random_orders_beyond_brute_force(self):
+        # 8-10 atoms: too many members for the pairwise oracle in
+        # test_cones, so the flippable pairs are the reference
+        rng = random.Random(20261019)
+        for n in (8, 9, 10):
+            for _ in range(4):
+                self.assert_bijection(random_utility_order(n, rng))
 
 
 def test_empty_pair_flippable_examples(lex3):
