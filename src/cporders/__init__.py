@@ -77,6 +77,7 @@ from .orders import (
 from .represent import (
     Certificate,
     TradingTransform,
+    check_certificate,
     check_trading_transform,
     facet_count,
     find_trading_transform,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -114,12 +115,21 @@ def _excess_iv(x):
     return x + _entropy_iv(x) - 1
 
 
-@functools.cache
-def lambda_bracket() -> tuple[Fraction, Fraction]:
-    """Certified enclosure of the root of x + H(x) = 1, width < 2^-48."""
+@contextmanager
+def _working_precision():
+    """Run the block with mpmath's interval context at _IV_PREC bits."""
     old = iv.prec
     iv.prec = _IV_PREC
     try:
+        yield
+    finally:
+        iv.prec = old
+
+
+@functools.cache
+def lambda_bracket() -> tuple[Fraction, Fraction]:
+    """Certified enclosure of the root of x + H(x) = 1, width < 2^-48."""
+    with _working_precision():
         lo, hi = Fraction(1, 5), Fraction(1, 4)
         _, f_lo_upper = _interval_bounds(_excess_iv(_iv_fraction(lo)))
         f_hi_lower, _ = _interval_bounds(_excess_iv(_iv_fraction(hi)))
@@ -135,8 +145,6 @@ def lambda_bracket() -> tuple[Fraction, Fraction]:
             else:  # pragma: no cover - 96-bit intervals decide dyadic midpoints
                 raise AssertionError("interval too wide to place bisection midpoint")
         return lo, hi
-    finally:
-        iv.prec = old
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,7 @@ def entropy_bound(n: int, c) -> EntropyBound:
     c = Fraction(c)
     if not 0 < c < Fraction(1, 2):
         raise RangeError(f"c must lie strictly between lambda and 1/2, got {c}")
-    old = iv.prec
-    iv.prec = _IV_PREC
-    try:
+    with _working_precision():
         f_lo, f_hi = _interval_bounds(_excess_iv(_iv_fraction(c)))
         if f_lo <= 0:
             if f_hi < 0:
@@ -172,8 +178,6 @@ def entropy_bound(n: int, c) -> EntropyBound:
         rate_lo, rate_hi = _interval_bounds(rate)
         bound_lo, bound_hi = _interval_bounds(bound)
         return EntropyBound(c, n, rate_lo, rate_hi, bound_lo, bound_hi)
-    finally:
-        iv.prec = old
 
 
 def lambda_rate_bracket() -> tuple[Fraction, Fraction]:
@@ -183,15 +187,11 @@ def lambda_rate_bracket() -> tuple[Fraction, Fraction]:
     rate at the two bracket endpoints enclosing lambda brackets the value.
     """
     lo, hi = lambda_bracket()
-    old = iv.prec
-    iv.prec = _IV_PREC
-    try:
+    with _working_precision():
         ln2 = iv.log(2)
         at_lo = _interval_bounds(iv.exp(_entropy_iv(_iv_fraction(lo)) * ln2))
         at_hi = _interval_bounds(iv.exp(_entropy_iv(_iv_fraction(hi)) * ln2))
         return at_lo[0], at_hi[1]
-    finally:
-        iv.prec = old
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification pass, 1 usage error, 2 verification
-failure (including a certificate file that is not a well-formed
-certificate), 3 nonrepresentable verdict (represent/certify), 4 budget
+failure, 3 nonrepresentable verdict (represent/certify), 4 budget
 exhausted.  JSON output is canonical (sorted keys, no timestamps) so
 identical inputs produce byte-identical reports.
+
+``certify`` exits 2 with ``certificate_valid: false`` on a certificate that
+proves nothing for the order (say, tying utilities), and with ``verification
+failed: ...`` on a file not in the shape ``represent`` writes: not JSON, no
+known verdict, other keys, utilities not a list of ints (a string, floats,
+bools, numeric strings), As and Bs of unequal length, or an atom that is not
+an int, lies outside 1..n or repeats within its set.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +28,6 @@ from .census import census_stats, enumerate_orders, read_census, write_census
 from .errors import CporderError, ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
 from .orders import (
-    Subset,
     lexicographic_utilities,
     maclagan_utilities,
     order_from_utilities,
@@ -32,12 +36,7 @@ from .orders import (
     read_order,
     write_order,
 )
-from .represent import (
-    TradingTransform,
-    check_trading_transform,
-    find_trading_transform,
-    is_representable,
-)
+from .represent import Certificate, check_certificate, find_trading_transform, is_representable
 from .repro import run_all
 
 EXIT_OK = 0
@@ -53,10 +52,6 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _load_order(args):
-    return read_order(args.order_file)
 
 
 def cmd_construct(args) -> int:
@@ -79,7 +74,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_flips(args) -> int:
-    order = _load_order(args)
+    order = read_order(args.order_file)
     pairs = flippable_pairs(order)
     payload = {
         "n": order.n,
@@ -96,7 +91,7 @@ def cmd_flips(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    order = _load_order(args)
+    order = read_order(args.order_file)
     flipped = [neighbor for _, neighbor in flip_neighbors(order)]
     payload = {
         "n": order.n,
@@ -108,7 +103,7 @@ def cmd_neighbors(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    order = _load_order(args)
+    order = read_order(args.order_file)
     cert = is_representable(order)
     if not cert.representable and args.transform:
         shortest = find_trading_transform(order, k_max=args.k_max)
@@ -124,44 +119,23 @@ def cmd_represent(args) -> int:
     return EXIT_OK if cert.representable else EXIT_NONREPRESENTABLE
 
 
-def _check_certificate(data, order) -> tuple[str, bool]:
-    """The certificate's verdict and whether its proof holds for ``order``;
-    raises VerificationError when ``data`` is not a well-formed certificate."""
-    if not isinstance(data, dict):
-        raise VerificationError("certificate must be a JSON object")
-    verdict = data.get("verdict")
-    if verdict not in ("representable", "nonrepresentable"):
-        raise VerificationError(f"unknown verdict {verdict!r}")
-    try:
-        if verdict == "representable":
-            utilities = tuple(int(v) for v in data["utilities"])
-            return verdict, order_from_utilities(utilities) == order
-        sides = data["transform"]
-        transform = TradingTransform(
-            tuple(Subset.from_atoms(atoms, order.n) for atoms in sides["As"]),
-            tuple(Subset.from_atoms(atoms, order.n) for atoms in sides["Bs"]),
-        )
-        return verdict, check_trading_transform(transform, order)
-    except (KeyError, TypeError, ValueError, CporderError) as exc:
-        raise VerificationError(f"malformed {verdict} certificate: {exc!r}") from None
-
-
 def cmd_certify(args) -> int:
-    order = _load_order(args)
+    order = read_order(args.order_file)
     with open(args.certificate, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
             raise VerificationError(f"certificate is not JSON: {exc}") from None
-    verdict, ok = _check_certificate(data, order)
+    cert = Certificate.from_json(data, order.n)
+    ok = check_certificate(cert, order)
     _emit(
-        {"verdict": verdict, "certificate_valid": ok},
+        {"verdict": cert.verdict, "certificate_valid": ok},
         args.format,
-        [f"certificate {'valid' if ok else 'INVALID'} for verdict {verdict}"],
+        [f"certificate {'valid' if ok else 'INVALID'} for verdict {cert.verdict}"],
     )
     if not ok:
         return EXIT_VERIFY_FAIL
-    return EXIT_NONREPRESENTABLE if verdict == "nonrepresentable" else EXIT_OK
+    return EXIT_OK if cert.representable else EXIT_NONREPRESENTABLE
 
 
 def cmd_enumerate(args) -> int:
@@ -171,7 +145,7 @@ def cmd_enumerate(args) -> int:
         with_edges=not args.no_flags,  # only census_stats reads edges
         budget=args.budget,
         checkpoint_path=args.checkpoint,
-        threads=_threads(args),
+        threads=args.threads,
     )
     if args.out:
         write_census(census, args.out)
@@ -247,7 +221,7 @@ def cmd_verify_fibonacci(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    results = run_all(threads=_threads(args), n6_budget=args.n6_budget)
+    results = run_all(threads=args.threads, n6_budget=args.n6_budget)
     payload = {
         "results": [
             {
@@ -267,22 +241,9 @@ def cmd_repro(args) -> int:
     return EXIT_OK if all(r.passed or r.skipped for r in results) else EXIT_VERIFY_FAIL
 
 
-def _threads(args) -> int:
-    """``--threads`` if given, else ``CPOL_THREADS`` as it is when the
-    command runs (the parser is built once per process)."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CPOL_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # built once per process and shared by every main() call, so defaults
-    # that depend on the environment are resolved by the commands instead
+    # built once per process and shared by every main() call
     parser = argparse.ArgumentParser(
         prog="cporders",
         description="comparative probability orders: flips, cones, representability, bounds",
@@ -293,10 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, order_file=False, threads=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
         if threads:
-            p.add_argument(
-                "--threads", type=int, default=None,
-                help="worker pool size (env CPOL_THREADS)",
-            )
+            p.add_argument("--threads", type=int, default=1, help="worker pool size")
         if order_file:
             p.add_argument("--order-file", required=True)
 

@@ -80,6 +80,13 @@ class Subset:
 
 
 def _mask_from_atoms(atoms: Iterable[int], n: int) -> int:
+    """Mask of a list of atoms; checks, in order, that each is an int (a
+    bool is not), that none repeats and that each lies in 1..n."""
+    atoms = list(atoms)
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in atoms):
+        raise ValueError(f"atoms must be ints, got {atoms!r}")
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"repeated atom in subset {','.join(map(str, atoms))!r}")
     mask = 0
     for a in atoms:
         if not 1 <= a <= n:
@@ -89,9 +96,8 @@ def _mask_from_atoms(atoms: Iterable[int], n: int) -> int:
 
 
 def _mask_from_text(text: str, n: int) -> int:
-    """Mask of a subset written as by :meth:`Subset.to_text`; checks, in
-    order, that the atoms parse, that none repeats and that each lies in
-    1..n."""
+    """Mask of a subset written as by :meth:`Subset.to_text`; the atoms
+    must parse, then pass :func:`_mask_from_atoms`."""
     text = text.strip()
     if text == "-":
         return 0
@@ -99,8 +105,6 @@ def _mask_from_text(text: str, n: int) -> int:
         atoms = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse subset {text!r}") from None
-    if len(set(atoms)) != len(atoms):
-        raise ValueError(f"repeated atom in subset {text!r}")
     return _mask_from_atoms(atoms, n)
 
 

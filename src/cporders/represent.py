@@ -11,23 +11,29 @@ Gordan's alternative exactly one of that system and {y >= 0, sum_k y_k d_k
 integers, is a trading transform (Kraft-Pratt-Seidenberg): y_k copies of
 (S_k \\ S_{k+1}, S_{k+1} \\ S_k).  Otherwise the Farkas multipliers lambda give
 utilities u_i = lambda_{n+i} - lambda_i with u . d_k >= lambda_{2n} > 0.
-Utilities must re-derive the order and a transform must pass its checker
-before a verdict is returned; else VerificationError, also under ``python -O``.
+
+:func:`check_certificate` is the one checker; ``is_representable`` returns
+only what it passes, else VerificationError (also under ``python -O``).  A
+certificate's JSON is {"verdict": "representable", "utilities": [u_1, ...,
+u_n]} or {"verdict": "nonrepresentable", "transform": {"As": [[atoms], ...],
+"Bs": [[atoms], ...]}}, atoms numbered from 1; ``Certificate.from_json``
+reads back exactly what ``Certificate.to_json`` writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import lt
 from typing import Optional, Sequence
 
 from .cones import cone_from_order, unpack_ternary
 from .errors import (
-    LengthMismatchError, NotNeighborsError, NotRepresentableError, TieError, VerificationError,
+    CporderError, LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError,
 )
 from .flips import FlippablePair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
-from .orders import ComparativeOrder, Subset, order_from_utilities
+from .orders import ComparativeOrder, Subset, subset_sums
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,18 @@ class TradingTransform:
             "Bs": [list(s.atoms) for s in self.b_sets],
         }
 
+    @classmethod
+    def from_json(cls, data, n: int) -> "TradingTransform":
+        """Inverse of :meth:`to_json`; ValueError on any other shape."""
+        if not isinstance(data, dict) or data.keys() != {"As", "Bs"} or not all(
+            isinstance(side, list) and all(isinstance(atoms, list) for atoms in side)
+            for side in data.values()
+        ):
+            raise ValueError("transform must be {As: [atom lists], Bs: [atom lists]}")
+        if len(data["As"]) != len(data["Bs"]):
+            raise ValueError(f"{len(data['As'])} left sets vs {len(data['Bs'])} right sets")
+        return cls(*(tuple(Subset.from_atoms(atoms, n) for atoms in data[k]) for k in ("As", "Bs")))
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -68,7 +86,6 @@ class Certificate:
     verdict: str  # "representable" | "nonrepresentable"
     utilities: Optional[tuple[int, ...]] = None
     transform: Optional[TradingTransform] = None
-    lp_infeasible: bool = False
 
     @property
     def representable(self) -> bool:
@@ -80,21 +97,42 @@ class Certificate:
             out["utilities"] = list(self.utilities)
         if self.transform is not None:
             out["transform"] = self.transform.to_json()
-        if self.lp_infeasible:
-            out["lp_infeasible"] = True
         return out
 
+    @classmethod
+    def from_json(cls, data, n: int) -> "Certificate":
+        """Inverse of :meth:`to_json` on a certificate holding just its
+        verdict's proof object; VerificationError on any other shape."""
+        verdict = data.get("verdict") if isinstance(data, dict) else None
+        if verdict not in ("representable", "nonrepresentable"):
+            raise VerificationError("certificate must be a JSON object with a known verdict")
+        proof = "utilities" if verdict == "representable" else "transform"
+        try:
+            if data.keys() != {"verdict", proof}:
+                raise ValueError(f"keys must be verdict and {proof}, got {sorted(data)}")
+            if proof == "transform":
+                return cls(verdict, transform=TradingTransform.from_json(data[proof], n))
+            utilities = data[proof]
+            if not isinstance(utilities, list) or not all(type(v) is int for v in utilities):
+                raise ValueError(f"utilities must be a list of ints, got {utilities!r}")
+            return cls(verdict, utilities=tuple(utilities))
+        except (ValueError, CporderError) as exc:
+            raise VerificationError(f"malformed {verdict} certificate: {exc}") from None
 
-def _rederives(order: ComparativeOrder, utilities: tuple[int, ...]) -> bool:
-    """Whether ``utilities`` are n positive ints, free of ties, that induce
-    exactly ``order``.  A tie-free sort that reproduces the ranking rises
-    strictly along it, so no separate gap test is needed."""
-    if len(utilities) != order.n or not all(v > 0 for v in utilities):
+
+def check_certificate(cert: Certificate, order: ComparativeOrder) -> bool:
+    """Whether ``cert`` proves its verdict for ``order``: n positive utilities
+    whose subset sums rise strictly along ``order.ranked`` (so they sort back
+    to it with no tie), or a transform check_trading_transform accepts."""
+    if cert.verdict == "representable":
+        u = cert.utilities
+        if u is None or len(u) != order.n or not all(v > 0 for v in u):
+            return False
+        ranked_sums = list(map(subset_sums(u).__getitem__, order.ranked))
+        return all(map(lt, ranked_sums, ranked_sums[1:]))
+    if cert.verdict != "nonrepresentable" or cert.transform is None:
         return False
-    try:
-        return order_from_utilities(utilities) == order
-    except TieError:
-        return False
+    return check_trading_transform(cert.transform, order)
 
 
 def _scale_to_integers(values) -> tuple[int, ...]:
@@ -128,24 +166,25 @@ def is_representable(
 
     ``hint`` is an optional candidate integer utility vector tried before
     any pivoting (e.g. a perturbed witness for a flip neighbour).  It is
-    accepted exactly when it re-derives the order, as LP utilities must; a
-    hint never changes the verdict, only the route to it.
+    accepted exactly when :func:`check_certificate` passes it, as LP
+    utilities must; a hint never changes the verdict, only the route to it.
     """
     n = order.n
     if order.ranked[0] != 0:
         raise ValueError("the empty set must rank first")
     if hint is not None:
-        candidate = tuple(int(v) for v in hint)
-        if _rederives(order, candidate):
-            return Certificate("representable", utilities=candidate)
+        cert = Certificate("representable", utilities=tuple(int(v) for v in hint))
+        if check_certificate(cert, order):
+            return cert
 
     result = solve_feasibility(*_gordan_system(order))
     if result.solution is None:
         lam = result.farkas
         utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
-        if not _rederives(order, utilities):
-            raise VerificationError(f"Farkas utilities {utilities} do not re-derive the order")
-        return Certificate("representable", utilities=utilities)
+        cert = Certificate("representable", utilities)
+        if not check_certificate(cert, order):
+            raise VerificationError(f"Farkas utilities {cert.utilities} do not re-derive the order")
+        return cert
 
     ranked, pos = order.ranked, order.position
     a_sets: list[Subset] = []
@@ -159,10 +198,10 @@ def is_representable(
                 s, t = s & ~t, t & ~s
             a_sets += [Subset(s, n)] * copies
             b_sets += [Subset(t, n)] * copies
-    transform = TradingTransform(tuple(a_sets), tuple(b_sets))
-    if not check_trading_transform(transform, order):
+    cert = Certificate("nonrepresentable", transform=TradingTransform(tuple(a_sets), tuple(b_sets)))
+    if not check_certificate(cert, order):
         raise VerificationError("Gordan solution does not give a trading transform")
-    return Certificate("nonrepresentable", transform=transform, lp_infeasible=True)
+    return cert
 
 
 def check_trading_transform(transform: TradingTransform, order: ComparativeOrder) -> bool:

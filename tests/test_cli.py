@@ -119,8 +119,14 @@ class TestRepresent:
         [
             '{"verdict": "representable"}',
             "[1, 2]",
-            '{"verdict": "representable", "utilities": [1, 1, 2]}',
+            '{"verdict": "representable", "utilities": "124"}',
+            '{"verdict": "representable", "utilities": [1.9, 2.2, 4.7]}',
+            '{"verdict": "representable", "utilities": [true, 2, 4]}',
+            '{"verdict": "representable", "utilities": ["1", "2", "4"]}',
             '{"verdict": "nonrepresentable", "transform": {"As": [[9]], "Bs": [[1]]}}',
+            '{"verdict": "nonrepresentable", "transform": {"As": [[true]], "Bs": [[1]]}}',
+            '{"verdict": "nonrepresentable", "transform": {"As": [[1, 1]], "Bs": [[2]]}}',
+            '{"verdict": "nonrepresentable", "transform": {"As": [[1]], "Bs": []}}',
             '{"verdict": "maybe"}',
             "not json",
         ],
@@ -130,7 +136,26 @@ class TestRepresent:
         cert_path.write_text(text)
         code = main(["certify", "--order-file", str(lex3_file), "--certificate", str(cert_path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("verification failed:")
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed:")
+        if '"utilities":' in text or '"transform":' in text:
+            assert err.startswith("verification failed: malformed ")
+
+    @pytest.mark.parametrize(
+        "utilities",
+        [[1, 1, 2], [4, 2, 1], [0, 2, 4], [1, 2]],
+        ids=["tie", "another-order", "zero", "wrong-length"],
+    )
+    def test_certify_invalid_certificate_exits_two(self, capsys, tmp_path, lex3_file, utilities):
+        # well-formed utilities that do not re-derive the order prove nothing
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"verdict": "representable", "utilities": utilities}))
+        code, out = run(
+            capsys,
+            ["certify", "--order-file", str(lex3_file), "--certificate", str(cert_path)],
+        )
+        assert code == 2
+        assert json.loads(out) == {"verdict": "representable", "certificate_valid": False}
 
     def test_certificates_round_trip_under_optimize(self, tmp_path, lex3_file, nonrep_file):
         # -O strips asserts; the certificate checks must still run
@@ -147,8 +172,7 @@ class TestRepresent:
             decided = cli("represent", "--format", "json", "--order-file", str(order_file))
             assert decided.returncode == expected, decided.stderr
             if expected == 3:
-                blob = json.loads(decided.stdout)
-                assert "transform" in blob and blob["lp_infeasible"] is True
+                assert json.loads(decided.stdout).keys() == {"verdict", "transform"}
             cert_path = tmp_path / f"cert{expected}.json"
             cert_path.write_text(decided.stdout)
             checked = cli("certify", "--order-file", str(order_file), "--certificate", str(cert_path))
@@ -282,7 +306,7 @@ class TestUsage:
         assert main(["enumerate", "--n", "3", "--threads", "2"]) == 0
 
     def test_threads_default_read_per_call(self, monkeypatch):
-        # the parser is built once; CPOL_THREADS is read when the command runs
+        # the parser is built once; each call sees the default or its own flag
         import cporders.cli
 
         seen = []
@@ -293,14 +317,10 @@ class TestUsage:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cporders.cli, "enumerate_orders", spy)
-        monkeypatch.setenv("CPOL_THREADS", "3")
-        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
-        monkeypatch.setenv("CPOL_THREADS", "2")
-        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
-        monkeypatch.delenv("CPOL_THREADS")
         assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
         assert main(["enumerate", "--n", "3", "--no-flags", "--threads", "4"]) == 0
-        assert seen == [3, 2, 1, 4]
+        assert main(["enumerate", "--n", "3", "--no-flags"]) == 0
+        assert seen == [1, 4, 1]
         assert cporders.cli.build_parser() is cporders.cli.build_parser()
 
     def test_help_exits_zero(self):

@@ -69,6 +69,21 @@ class TestSubset:
         with pytest.raises(ValueError, match=message):
             order_from_lines(lines[:2] + [text] + lines[3:])
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([True], r"atoms must be ints, got \[True\]"),
+            ([1, "2"], r"atoms must be ints, got \[1, '2'\]"),
+            ([1.0, 1.0], r"atoms must be ints, got \[1.0, 1.0\]"),
+            ([1, 1], "repeated atom in subset '1,1'"),
+            ([4, 4], "repeated atom in subset '4,4'"),
+            ([2, 4], r"atom 4 outside universe \[1..3\]"),
+        ],
+    )
+    def test_atom_errors_type_then_repeat_then_range(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            Subset.from_atoms(atoms, 3)
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             Subset(8, 3)

@@ -1,5 +1,6 @@
 """Exact representability decisions, witnesses, and trading transforms."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cporders.census import relabel_order
+from cporders.census import enumerate_orders, relabel_order
 from cporders.errors import LengthMismatchError, NotNeighborsError, TieError, VerificationError
 from cporders.flips import flip_neighbors, flippable_pairs
 from cporders.lp import Feasibility, solve_feasibility
@@ -20,7 +21,9 @@ from cporders.orders import (
     subset_sums,
 )
 from cporders.represent import (
+    Certificate,
     TradingTransform,
+    check_certificate,
     check_trading_transform,
     find_trading_transform,
     friendly,
@@ -203,18 +206,19 @@ class TestIsRepresentable:
         ]
         assert nonrep, "the n=5 census must contain nonrepresentable orders"
         cert = is_representable(nonrep[0])
-        assert not cert.representable
-        assert cert.lp_infeasible
+        assert cert.verdict == "nonrepresentable"
         assert cert.utilities is None
         assert check_trading_transform(cert.transform, nonrep[0])
 
     def test_census_certificates_check_independently(self, n5_census):
         # the census keeps flags only; each order's certificate is decided
-        # again here and checked against its flag
+        # again here, checked against its flag and read back from its JSON
         rep = nonrep = 0
         for order, flag in zip(n5_census.orders, n5_census.representable):
             cert = is_representable(order)
             assert cert.representable == flag
+            assert Certificate.from_json(json.loads(json.dumps(cert.to_json())), 5) == cert
+            assert check_certificate(cert, order)
             if flag:
                 assert order_from_utilities(cert.utilities) == order
                 rep += 1
@@ -296,6 +300,86 @@ class TestIsRepresentable:
         blob = is_representable(order).to_json()
         assert blob["verdict"] == "representable"
         assert order_from_utilities(blob["utilities"]) == order
+
+
+def rederives(utilities, order):
+    """The rebuild oracle: whether ``utilities`` induce exactly ``order``."""
+    try:
+        return order_from_utilities(utilities) == order
+    except (TieError, ValueError):
+        return False
+
+
+def utility_variants(u):
+    """``u`` and vectors near it: one entry +-1, two entries swapped, a 0,
+    a negative, a tie, and the wrong length."""
+    n = len(u)
+    out = [u]
+    for i in range(n):
+        for delta in (-1, 1):
+            out.append(u[:i] + (u[i] + delta,) + u[i + 1:])
+        out.append(u[:i] + (0,) + u[i + 1:])
+        out.append(u[:i] + (-u[i],) + u[i + 1:])
+        for j in range(i + 1, n):
+            swapped = list(u)
+            swapped[i], swapped[j] = u[j], u[i]
+            out.append(tuple(swapped))
+            out.append(u[:j] + (u[i],) + u[j + 1:])
+    return out + [u[:-1], u + (u[-1] + 1,)]
+
+
+class TestCheckCertificate:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_utilities_pass_exactly_when_they_rederive(self, n):
+        census = enumerate_orders(n)
+        assert all(census.representable)
+        for order in census.orders:
+            for u in utility_variants(is_representable(order).utilities):
+                cert = Certificate("representable", utilities=u)
+                assert check_certificate(cert, order) == rederives(u, order), u
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_utilities_agree_with_the_rebuild(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        base = data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n), label="base")
+        try:
+            order = order_from_utilities(base)
+        except TieError:
+            assume(False)
+        near = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(
+            lambda d: [b + x for b, x in zip(base, d)]
+        )
+        u = data.draw(
+            st.one_of(near, st.lists(st.integers(-3, 45), min_size=n - 1, max_size=n + 1)),
+            label="u",
+        )
+        cert = Certificate("representable", utilities=tuple(u))
+        assert check_certificate(cert, order) == rederives(u, order)
+
+    def test_certificate_without_its_proof_fails(self, n5_census):
+        order = n5_census.orders[0]
+        assert not check_certificate(Certificate("representable"), order)
+        assert not check_certificate(Certificate("nonrepresentable"), order)
+        cert = is_representable(order)
+        assert not check_certificate(Certificate("maybe", utilities=cert.utilities), order)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"verdict": "representable", "utilities": [1, 2, 4], "lp_infeasible": True},
+            {"verdict": "representable", "utilities": [1, 2, True]},
+            {"verdict": "representable", "utilities": (1, 2, 4)},
+            {"verdict": "nonrepresentable", "transform": {"As": [[1]], "Bs": [[2]], "k": 1}},
+            {"verdict": "nonrepresentable", "transform": {"As": [1], "Bs": [2]}},
+            {"verdict": "nonrepresentable", "transform": {"As": [[1, 1]], "Bs": [[2]]}},
+            {"verdict": "nonrepresentable", "transform": {"As": [[1]], "Bs": []}},
+            {"verdict": "nonrepresentable", "utilities": [1, 2, 4]},
+        ],
+    )
+    def test_from_json_rejects_other_shapes(self, data):
+        with pytest.raises(VerificationError, match=f"malformed {data['verdict']} certificate"):
+            Certificate.from_json(data, 3)
 
 
 class TestTradingTransforms:
