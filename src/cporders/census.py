@@ -17,6 +17,7 @@ break the axiom; the n = 6 census (169,444 orders) completes.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -162,9 +163,11 @@ def enumerate_orders(
 @contextmanager
 def worker_map(fn, items, threads: int, chunksize: int):
     """``fn`` over ``items`` in order: ``pool.map`` over ``threads`` worker
-    processes when threads > 1, a plain ``map`` otherwise.  Leaving the
-    block cancels the chunks not yet started and shuts the pool down, so a
-    caller may stop taking results early (at its own deadline)."""
+    processes, at most one per CPU, when that is more than one, a plain
+    ``map`` otherwise.  Leaving the block cancels the chunks not yet
+    started and shuts the pool down, so a caller may stop taking results
+    early (at its own deadline)."""
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         yield map(fn, items)
         return

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / verification pass, 1 usage error, 2 verification
 failure, 3 nonrepresentable verdict (represent/certify), 4 budget
-exhausted.  JSON output is canonical (sorted keys, no timestamps) so
-identical inputs produce byte-identical reports.
+exhausted (also ``represent --transform`` when the search's tables of
+member sums would exceed 2^21 codes).  JSON output is canonical (sorted
+keys, no timestamps) so identical inputs produce byte-identical reports.
 
 ``certify`` exits 2 with ``certificate_valid: false`` on a certificate that
 proves nothing for the order (say, tying utilities), and with ``verification
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, order_file=True)
     p.add_argument("--transform", action="store_true", help="on a nonrepresentable verdict, "
                    "replace the certificate's transform with the shortest one found up to --k-max")
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-max", type=int, default=4, help="longest transform searched; exits 4 "
+                   "when (2 ceil(k_max/2) + 1)^n exceeds 2^21 (k_max 4 reaches 9 atoms)")
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("certify", help="check a certificate file against an order")

@@ -12,7 +12,7 @@ operations per vector, not a loop over member pairs.
 
 Vectors are exposed as tuples over {-1, 0, 1}, or packed as a pair of
 bitmasks (positive part << n | negative part); a cone's packed members are
-derived from its bit set on request.
+derived from its bit set on each request.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class DiscreteCone:
     D3: membership is closed under addition when the sum stays ternary.
 
     The members are stored as one 3^n-bit set (bit idx(x) for member x);
-    ``packed_members`` derives the packed ints from it on first request.
+    ``packed_members`` derives the packed ints from it on each call.
     D1 and the size implied by D2 (0 is a member, plus one of each +-pair)
     are always enforced at construction, and the constructor also checks
     that every packed member it is given is a ternary vector (it fits 2n
@@ -154,7 +154,7 @@ class DiscreteCone:
     negation, D3 makes one masked shift of it per member.
     """
 
-    __slots__ = ("n", "_bits", "_packed")
+    __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, packed_members: Iterable[int]):
         packed = frozenset(packed_members)
@@ -169,9 +169,9 @@ class DiscreteCone:
         for p in packed:
             # flags[k] lands on bit 3^n - 1 - k, so flag the negated index
             flags[zero - weight[p >> n] + weight[p & low]] = 49  # ord("1")
-        self._store(n, int(flags, 2), packed)
+        self._store(n, int(flags, 2))
 
-    def _store(self, n: int, bits: int, packed) -> None:
+    def _store(self, n: int, bits: int) -> None:
         """Keep the 3^n-bit member set once D1 and the size implied by D2
         (0 plus one of each +-pair) hold on it."""
         expected = (3**n - 1) // 2 + 1
@@ -186,7 +186,6 @@ class DiscreteCone:
                 raise ConeAxiomError(f"basis vector e_{i + 1} missing (violates D1)")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_packed", packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteCone is immutable")
@@ -205,9 +204,7 @@ class DiscreteCone:
         return bool(self._bits >> index & 1)
 
     def packed_members(self) -> frozenset[int]:
-        if self._packed is None:
-            object.__setattr__(self, "_packed", frozenset(_packed_members(self.n, self._bits)))
-        return self._packed
+        return frozenset(_packed_members(self.n, self._bits))
 
     def check_d2_exhaustive(self) -> bool:
         """Every vector in {-1,0,1}^n or its negation is a member, never both:
@@ -266,7 +263,7 @@ def cone_from_order(order: ComparativeOrder) -> DiscreteCone:
             b = (b - 1) & comp
     cone = DiscreteCone.__new__(DiscreteCone)
     try:
-        cone._store(n, int(flags, 2), None)
+        cone._store(n, int(flags, 2))
     except ConeAxiomError as exc:  # pragma: no cover - constructor invariants
         raise ConeAxiomError(f"order does not induce a discrete cone: {exc}") from exc
     return cone

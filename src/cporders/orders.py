@@ -340,8 +340,6 @@ def order_from_lines(lines: Sequence[str]) -> ComparativeOrder:
     if len(body) != 1 << n:
         raise ValueError(f"expected {1 << n} subset lines for n={n}, got {len(body)}")
     ranked = [_mask_from_text(tok, n) for tok in body]
-    if sorted(ranked) != list(range(1 << n)):
-        raise ValueError("subset lines are not a permutation of all subsets")
     if ranked[0] != 0:
         raise ValueError("first-ranked subset must be the empty set")
     return ComparativeOrder(n, ranked)

@@ -27,9 +27,10 @@ from math import gcd, lcm
 from operator import lt
 from typing import Optional, Sequence
 
-from .cones import cone_from_order, unpack_ternary
+from .cones import cone_from_order
 from .errors import (
-    CporderError, LengthMismatchError, NotNeighborsError, NotRepresentableError, VerificationError,
+    CporderError, LengthMismatchError, NotNeighborsError, NotRepresentableError, ResourceError,
+    VerificationError,
 )
 from .flips import FlippablePair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
@@ -226,53 +227,47 @@ def check_trading_transform(transform: TradingTransform, order: ComparativeOrder
 def find_trading_transform(
     order: ComparativeOrder, k_max: int = 4
 ) -> Optional[TradingTransform]:
-    """Bounded search for a trading transform with every pair A_i < B_i.
+    """Shortest trading transform with every pair A_i < B_i, up to ``k_max``.
 
     Candidates are the nonzero members chi(A, B) of the order's cone, one
     per disjoint pair with A before B (intersections can always be removed
-    from a transform), tried in packed member order; the last slot is
-    filled by dictionary lookup.  Lengths rise from 2 and each is searched
-    exhaustively, so a transform found is of minimal length up to
-    ``k_max``.  A None result proves nothing: the search is bounded by
-    ``k_max``.  The empty set must rank first, as the cone requires
-    (ConeAxiomError otherwise).
+    from a transform).  Vector x gets the int code sum_i x_i b^i with b =
+    2 k_max + 1, tabled per mask by doubling as in ``subset_sums``; codes
+    add like vectors and are one-to-one on entries in [-k_max, k_max], so a
+    sum of at most k_max members is zero exactly when its code is 0.
+    ``sums[j]`` maps the code of each sum of j members to the code of a
+    last member, whose removal leads into ``sums[j - 1]``.  A length-k
+    transform exists iff a code in ``sums[k // 2]`` has its negation in
+    ``sums[k - k // 2]``; lengths rise from 2, so the first hit is minimal.
+    A None result proves nothing beyond ``k_max``.  ``sums[j]`` holds at
+    most (2j + 1)^n codes, so ResourceError is raised before the cone is
+    built when (2 ceil(k_max / 2) + 1)^n exceeds 2^21.  The empty set must
+    rank first, as the cone requires (ConeAxiomError otherwise).
     """
     if k_max < 2:
         return None
     n = order.n
+    if (2 * ((k_max + 1) // 2) + 1) ** n > 1 << 21:
+        raise ResourceError(f"transform search to length {k_max} on {n} atoms exceeds 2^21 sums")
+    code = [0]
+    for i in range(n):
+        code += [c + (2 * k_max + 1) ** i for c in code]
     low = (1 << n) - 1
-    members = sorted(cone_from_order(order).packed_members() - {0})
-    vectors = [unpack_ternary(p, n) for p in members]
-    index_of = {vec: idx for idx, vec in enumerate(vectors)}
-
-    count = len(vectors)
-
-    def search(start: int, slots: int, total: tuple[int, ...], chosen: list[int]):
-        if slots == 1:
-            need = tuple(-t for t in total)
-            idx = index_of.get(need)
-            # vectors are pairwise distinct, so an index below start means
-            # the non-decreasing multiset convention already covered it
-            if idx is None or idx < start:
-                return None
-            return chosen + [idx]
-        for idx in range(start, count):
-            vec = vectors[idx]
-            new_total = tuple(t + v for t, v in zip(total, vec))
-            if any(abs(t) > slots - 1 for t in new_total):
-                continue
-            found = search(idx, slots - 1, new_total, chosen + [idx])
-            if found is not None:
-                return found
-        return None
-
-    zero = (0,) * n
+    members = {code[p >> n] - code[p & low]: p for p in cone_from_order(order).packed_members() if p}
+    sums = [{0: 0}]
     for k in range(2, k_max + 1):
-        found = search(0, k, zero, [])
-        if found is not None:
-            a_sets = tuple(Subset(members[i] & low, n) for i in found)
-            b_sets = tuple(Subset(members[i] >> n, n) for i in found)
-            transform = TradingTransform(a_sets, b_sets)
+        if len(sums) <= k - k // 2:
+            sums.append({c + m: m for c in sums[-1] for m in members})
+        hit = next((c for c in sums[k // 2] if -c in sums[k - k // 2]), None)
+        if hit is not None:
+            found = []
+            for c, j in ((hit, k // 2), (-hit, k - k // 2)):
+                for table in sums[j:0:-1]:
+                    found.append(members[table[c]])
+                    c -= table[c]
+            transform = TradingTransform(
+                tuple(Subset(p & low, n) for p in found), tuple(Subset(p >> n, n) for p in found)
+            )
             if not check_trading_transform(transform, order):
                 raise VerificationError("search result fails check_trading_transform")
             return transform

@@ -276,3 +276,30 @@ class TestWorkerMap:
                 next(results)
                 raise KeyError("stop early")
         assert calls == [{"cancel_futures": True}]
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a fork pool starts all its workers at once, so no more than one
+        # per CPU is asked for; the fake starts none
+        import concurrent.futures
+
+        asked = []
+
+        class Fake:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Fake)
+        with worker_map(abs, [-1, 2], 10**6, chunksize=8) as results:
+            assert list(results) == [1, 2]
+        assert asked == [2]
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        with worker_map(abs, [-3], 10**6, chunksize=8) as results:
+            assert list(results) == [3]
+        assert asked == [2]

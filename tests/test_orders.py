@@ -292,7 +292,9 @@ class TestOrderSerialization:
     def test_parser_rejects_broken_files(self):
         good = order_to_lines(order_from_utilities((1, 2)))
         with pytest.raises(ValueError):
-            order_from_lines(good[:-1])  # not a permutation
+            order_from_lines(good[:-1])  # one subset line short
+        with pytest.raises(ValueError):
+            order_from_lines(good[:-1] + [good[1]])  # a subset line repeated
         swapped = [good[0], good[2], good[1]] + good[3:]
         with pytest.raises(ValueError):
             order_from_lines(swapped)  # empty set not first

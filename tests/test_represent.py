@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cporders.census import enumerate_orders, relabel_order
-from cporders.errors import LengthMismatchError, NotNeighborsError, TieError, VerificationError
+from cporders.errors import (
+    LengthMismatchError, NotNeighborsError, ResourceError, TieError, VerificationError,
+)
 from cporders.flips import flip_neighbors, flippable_pairs
 from cporders.lp import Feasibility, solve_feasibility
 from cporders.orders import (
@@ -430,6 +432,47 @@ class TestTradingTransforms:
             for atom in s.atoms:
                 sums[atom] = sums.get(atom, 0) - 1
         assert set(sums.values()) <= {0}
+
+
+def lift(order, k):
+    """Lexicographic product: k new atoms compared first, then ``order``."""
+    n, pos = order.n, order.position
+    ranked = sorted(range(1 << (n + k)), key=lambda m: (m >> n, pos[m & ((1 << n) - 1)]))
+    return ComparativeOrder(n + k, ranked)
+
+
+class TestShortestTransform:
+    @pytest.fixture
+    def nonrep5(self, n5_census):
+        return next(o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep)
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_lifts_keep_length_four(self, nonrep5, extra):
+        order = lift(nonrep5, extra)
+        transform = find_trading_transform(order, 4)
+        assert transform.length == 4
+        assert check_trading_transform(transform, order)
+        assert find_trading_transform(order, 3) is None
+
+    def test_odd_bound_finds_length_four(self, nonrep5):
+        # k_max = 5 codes vectors in base 11, not base 9
+        transform = find_trading_transform(nonrep5, 5)
+        assert transform.length == 4
+        assert check_trading_transform(transform, nonrep5)
+
+    def test_n4_census_has_no_transform(self, n4_census):
+        assert all(find_trading_transform(o, 4) is None for o in n4_census.orders)
+
+    def test_size_bound_checked_before_the_cone(self, nonrep5, monkeypatch):
+        # 5^10 sums of two members exceed 2^21
+        order = lift(nonrep5, 5)
+
+        def refuse(order):
+            raise AssertionError("the cone was built")
+
+        monkeypatch.setattr("cporders.represent.cone_from_order", refuse)
+        with pytest.raises(ResourceError):
+            find_trading_transform(order, 4)
 
 
 class TestWitnessHint:
