@@ -3,14 +3,22 @@ is induced by an additive integer utility vector, with a certificate either
 way -- a reproducing utility vector, or a trading transform witnessing the
 impossibility.
 
-With consecutive ranks S_0 < S_1 < ... and d_k = chi(S_{k+1}) - chi(S_k),
-the order is representable iff some u has u . d_k > 0 for every k.  By
-Gordan's alternative exactly one of that system and {y >= 0, sum_k y_k d_k
-= 0, sum_k y_k >= 1} is solvable, so one exact phase-1 solve of the second
-(2n + 1 rows, one column per gap) decides.  A solution y, scaled to
-integers, is a trading transform (Kraft-Pratt-Seidenberg): y_k copies of
-(S_k \\ S_{k+1}, S_{k+1} \\ S_k).  Otherwise the Farkas multipliers lambda give
-utilities u_i = lambda_{n+i} - lambda_i with u . d_k >= lambda_{2n} > 0.
+The order is representable iff some u has u . d > 0 for every column d =
+chi(B) - chi(A) with A ranked before B.  Every facet of a representable
+order's region is a flippable pair (Maclagan 1999), so the columns of the
+flippable pairs and (empty set, first subset) suffice.  By Gordan's
+alternative exactly one of that system and {y >= 0, sum_j y_j d_j = 0,
+sum_j y_j >= 1} is solvable; one exact phase-1 solve of the second (2n + 1
+rows, one column per pair) decides.  A solution y, scaled to integers, is
+a trading transform (Kraft-Pratt-Seidenberg): y_j copies of (A_j, B_j).
+Otherwise the Farkas multipliers lambda give utilities u_i = lambda_{n+i}
+- lambda_i with u . d_j >= lambda_{2n} > 0, which re-derive the order if
+it is representable.  If not, each consecutive gap (S, T) they break has
+u . d <= 0, so is a new column: its disjoint parts when those are in
+order, else (S, T).  The system is solved again with them, so the rounds
+end, at worst at one column per gap.  Verdicts equal the whole-gap
+system's; the Farkas utilities differ, and transforms are not the
+shortest (``find_trading_transform`` finds those).
 
 :func:`check_certificate` is the one checker; ``is_representable`` returns
 only what it passes, else VerificationError (also under ``python -O``).  A
@@ -145,17 +153,13 @@ def _scale_to_integers(values) -> tuple[int, ...]:
     return tuple(v // shrink for v in ints)
 
 
-def _gordan_system(order: ComparativeOrder) -> tuple[list[list[int]], list[int]]:
-    """Rows and right-hand sides of sum_k y_k d_k = 0 (as two inequalities
-    per atom) and sum_k y_k >= 1, one column per consecutive gap k."""
-    n, ranked = order.n, order.ranked
-    gaps = [
-        [(t >> i & 1) - (s >> i & 1) for i in range(n)]
-        for s, t in zip(ranked, ranked[1:])
-    ]
-    rows = [[d[i] for d in gaps] for i in range(n)]
+def _gordan_system(n: int, columns) -> tuple[list[list[int]], list[int]]:
+    """Rows and right-hand sides of sum_j y_j (chi(B_j) - chi(A_j)) = 0 (as
+    two inequalities per atom) and sum_j y_j >= 1, one column per mask pair
+    (A_j, B_j) in ``columns``."""
+    rows = [[(b >> i & 1) - (a >> i & 1) for a, b in columns] for i in range(n)]
     rows += [[-v for v in row] for row in rows]
-    rows.append([1] * len(gaps))
+    rows.append([1] * len(columns))
     return rows, [0] * (2 * n) + [1]
 
 
@@ -169,37 +173,42 @@ def is_representable(
     any pivoting (e.g. a perturbed witness for a flip neighbour).  It is
     accepted exactly when :func:`check_certificate` passes it, as LP
     utilities must; a hint never changes the verdict, only the route to it.
+    Otherwise the pair system decides, in rounds (see the module doc).
     """
-    n = order.n
-    if order.ranked[0] != 0:
+    n, ranked = order.n, order.ranked
+    if ranked[0] != 0:
         raise ValueError("the empty set must rank first")
     if hint is not None:
         cert = Certificate("representable", utilities=tuple(int(v) for v in hint))
         if check_certificate(cert, order):
             return cert
 
-    result = solve_feasibility(*_gordan_system(order))
-    if result.solution is None:
+    pos = order.position
+    columns = {(fp.a.mask, fp.b.mask) for fp in flippable_pairs(order)} | {(0, ranked[1])}
+    while True:
+        ordered = sorted(columns)
+        result = solve_feasibility(*_gordan_system(n, ordered))
+        if result.solution is not None:
+            break
         lam = result.farkas
         utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
         cert = Certificate("representable", utilities)
-        if not check_certificate(cert, order):
-            raise VerificationError(f"Farkas utilities {cert.utilities} do not re-derive the order")
-        return cert
+        if check_certificate(cert, order):
+            return cert
+        # a gap's disjoint parts are out of order only if union-consistency fails
+        sums = subset_sums(utilities)
+        broken = {
+            (s & ~t, t & ~s) if pos[s & ~t] < pos[t & ~s] else (s, t)
+            for s, t in zip(ranked, ranked[1:])
+            if sums[t] <= sums[s]
+        }
+        if broken <= columns:
+            raise VerificationError(f"Farkas utilities {utilities} do not re-derive the order")
+        columns |= broken
 
-    ranked, pos = order.ranked, order.position
-    a_sets: list[Subset] = []
-    b_sets: list[Subset] = []
-    for k, copies in enumerate(_scale_to_integers(result.solution)):
-        if copies:
-            s, t = ranked[k], ranked[k + 1]
-            # union-consistency keeps the disjoint parts in order; an order
-            # violating it keeps the consecutive pair itself
-            if pos[s & ~t] < pos[t & ~s]:
-                s, t = s & ~t, t & ~s
-            a_sets += [Subset(s, n)] * copies
-            b_sets += [Subset(t, n)] * copies
-    cert = Certificate("nonrepresentable", transform=TradingTransform(tuple(a_sets), tuple(b_sets)))
+    copies = [ab for ab, y in zip(ordered, _scale_to_integers(result.solution)) for _ in range(y)]
+    transform = TradingTransform(*(tuple(Subset(ab[k], n) for ab in copies) for k in (0, 1)))
+    cert = Certificate("nonrepresentable", transform=transform)
     if not check_certificate(cert, order):
         raise VerificationError("Gordan solution does not give a trading transform")
     return cert

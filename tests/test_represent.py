@@ -19,6 +19,7 @@ from cporders.orders import (
     Subset,
     lexicographic_utilities,
     maclagan_utilities,
+    order_from_line,
     order_from_utilities,
     subset_sums,
 )
@@ -243,10 +244,40 @@ class TestIsRepresentable:
         ids=["farkas", "solution"],
     )
     def test_wrong_solver_answer_is_refused(self, monkeypatch, bogus):
-        # n=3 has 2n+1 = 7 rows and 7 gaps; neither answer certifies lex3
+        # n=3 has 2n+1 = 7 rows; neither answer certifies lex3
         monkeypatch.setattr("cporders.represent.solve_feasibility", lambda rows, rhs: bogus)
         with pytest.raises(VerificationError):
             is_representable(order_from_utilities(lexicographic_utilities(3)))
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ComparativeOrder(2, [0, 3, 1, 2]),
+            # an n=6 census order whose flippable pairs alone give Farkas
+            # utilities that break some gaps
+            order_from_line(
+                "6;-;1;2;1,2;3;1,3;2,3;1,2,3;4;1,4;2,4;5;1,2,4;3,4;1,5;1,3,4;2,5;2,3,4;"
+                "1,2,5;3,5;6;1,2,3,4;1,3,5;2,3,5;1,6;2,6;1,2,3,5;1,2,6;4,5;1,4,5;2,4,5;"
+                "1,2,4,5;3,6;1,3,6;2,3,6;1,2,3,6;3,4,5;4,6;1,3,4,5;2,3,4,5;1,4,6;2,4,6;"
+                "5,6;1,2,3,4,5;1,2,4,6;3,4,6;1,5,6;1,3,4,6;2,5,6;2,3,4,6;1,2,5,6;3,5,6;"
+                "1,2,3,4,6;1,3,5,6;2,3,5,6;1,2,3,5,6;4,5,6;1,4,5,6;2,4,5,6;1,2,4,5,6;"
+                "3,4,5,6;1,3,4,5,6;2,3,4,5,6;1,2,3,4,5,6"
+            ),
+        ],
+        ids=["axiom-violating-n2", "census-n6"],
+    )
+    def test_refinement_round_adds_the_broken_gaps(self, monkeypatch, order):
+        calls = []
+
+        def counted(rows, rhs):
+            calls.append(len(rows[0]))
+            return solve_feasibility(rows, rhs)
+
+        monkeypatch.setattr("cporders.represent.solve_feasibility", counted)
+        cert = is_representable(order)
+        assert len(calls) == 2 and calls[1] > calls[0]
+        assert not cert.representable and not whole_gap_representable(order)
+        assert check_certificate(cert, order)
 
     def test_empty_set_must_rank_first(self):
         with pytest.raises(ValueError):
@@ -255,7 +286,7 @@ class TestIsRepresentable:
     @settings(max_examples=12, deadline=None)
     @given(st.data())
     def test_random_utilities_round_trip_under_relabeling(self, data):
-        n = data.draw(st.integers(6, 8), label="n")
+        n = data.draw(st.integers(6, 9), label="n")
         utilities = data.draw(
             st.lists(st.integers(1, 10**6), min_size=n, max_size=n), label="utilities"
         )
@@ -268,6 +299,19 @@ class TestIsRepresentable:
             cert = is_representable(o)
             assert cert.representable
             assert order_from_utilities(cert.utilities) == o
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_nonrepresentable_census_orders_under_relabeling(self, data, n5_census):
+        # relabeling the atoms reorders the sorted pair columns, so the
+        # verdict must not hang on which column the simplex meets first
+        nonrep = [o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep]
+        order = data.draw(st.sampled_from(nonrep), label="order")
+        perm = tuple(data.draw(st.permutations(range(1, 6)), label="perm"))
+        for o in (order, relabel_order(order, perm)):
+            cert = is_representable(o)
+            assert not cert.representable and cert.utilities is None
+            assert check_certificate(cert, o)
 
     def test_verdict_invariant_under_relabeling(self, n5_census):
         rng = random.Random(1103)
@@ -302,6 +346,43 @@ class TestIsRepresentable:
         blob = is_representable(order).to_json()
         assert blob["verdict"] == "representable"
         assert order_from_utilities(blob["utilities"]) == order
+
+
+def whole_gap_representable(order):
+    """The whole-gap oracle: Gordan's alternative on one column
+    chi(S_{k+1}) - chi(S_k) per consecutive gap, so 2^n - 1 columns."""
+    n, ranked = order.n, order.ranked
+    gaps = [[(t >> i & 1) - (s >> i & 1) for i in range(n)] for s, t in zip(ranked, ranked[1:])]
+    rows = [[d[i] for d in gaps] for i in range(n)]
+    rows += [[-v for v in row] for row in rows]
+    rows.append([1] * len(gaps))
+    return solve_feasibility(rows, [0] * (2 * n) + [1]).solution is None
+
+
+class TestPairSystemAgainstWholeGaps:
+    @staticmethod
+    def assert_same_verdict(order):
+        cert = is_representable(order)
+        assert cert.representable == whole_gap_representable(order)
+        assert check_certificate(cert, order)
+        return cert
+
+    def test_census_orders(self, n3_census, n4_census, n5_census):
+        for census in (n3_census, n4_census, n5_census):
+            for order in census.orders:
+                self.assert_same_verdict(order)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_random_orders(self, n):
+        rng = random.Random(1103 + n)
+        self.assert_same_verdict(order_from_utilities(rng.sample(range(1, 10**6), n)))
+
+    @pytest.mark.parametrize("index", [90, 109])
+    @pytest.mark.parametrize("extra", [3, 5])
+    def test_lifts_of_nonrepresentable_orders(self, n5_census, index, extra):
+        assert not n5_census.representable[index]
+        cert = self.assert_same_verdict(lift(n5_census.orders[index], extra))
+        assert not cert.representable
 
 
 def rederives(utilities, order):
