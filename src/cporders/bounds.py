@@ -6,19 +6,29 @@ q_n + 1, h_n the same at gap q_n - 1; their sum is the flippable-pair count
 of the inserted-value order on n+1 atoms and follows the Fibonacci
 recurrences.  The upper bounds come from the adjacency budget (every
 flippable pair occupies 2^r adjacencies) and from binary-entropy estimates
-of binomial sums, certified here with outward-rounded interval arithmetic.
+of binomial sums, certified here in fixed point with Python ints.
+
+Each entropy helper returns its real value times 2^120 as an int, rounded
+down, or up when ``up`` is set.  Each step is monotone in each input, so a
+lower bound uses the bound of each input that makes it least (the upper
+one for an input negated, or dividing a positive value): no endpoint moves
+inward.  Series have nonnegative terms; the lower bound sums floored terms
+and the upper bound adds to its ceiled terms a bound on the rest.  For
+atanh z = sum of z^k / k over odd k, 0 <= z <= 1/3, the rest is at most
+z^k / (1 - z^2) <= 9 z^k / 8; ln 2 = 2 atanh(1/3) and, for x = 2^k m with
+1 <= m < 2, ln x = k ln 2 + 2 atanh((m - 1) / (m + 1)).  For exp t = sum
+of t^j / j!, 0 <= t < 1, the rest is at most 2 t^j / j! (j >= 1); and
+2^y = 2^floor(y) exp(frac(y) ln 2).  Endpoints come back as exact dyadic
+Fractions, so comparisons on them are exact.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-from mpmath import iv
 
 from .errors import RangeError, VerificationError
 from .flips import critical_pairs, is_flippable
@@ -26,7 +36,8 @@ from .orders import maclagan_utilities, order_from_utilities, subset_sums
 from .represent import unfriendly_flips
 from .sequences import fibonacci, q_value
 
-_IV_PREC = 96
+_P = 120  # fraction bits of the entropy enclosures
+_ONE = 1 << _P
 _LAMBDA_BITS = 48  # > 14 decimal digits
 
 
@@ -84,67 +95,72 @@ def upper_bound(n: int) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Entropy machinery.  All inequalities are certified with interval
-# arithmetic: an interval endpoint is converted to an exact dyadic Fraction
-# before any comparison, so directed rounding is preserved end to end.
+# Entropy machinery, in fixed point at _P bits (see the module docstring).
 
 
-def _fraction_from_raw(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+def _div(a: int, b: int, up: bool) -> int:
+    """a / b for b > 0, rounded down (up: rounded up)."""
+    return -(-a // b) if up else a // b
 
 
-def _interval_bounds(x) -> tuple[Fraction, Fraction]:
-    lo_raw, hi_raw = x._mpi_
-    return _fraction_from_raw(lo_raw), _fraction_from_raw(hi_raw)
+def _atanh(num: int, den: int, up: bool) -> int:
+    """atanh z = sum of z^k / k over odd k, for 0 <= z = num / den <= 1/3."""
+    t = _div(num << _P, den, up)  # z^k
+    zz, total, k = _div(t * t, _ONE, up), 0, 1
+    while t > up:
+        total, t, k = total + _div(t, k, up), _div(t * zz, _ONE, up), k + 2
+    return total + up * _div(9 * t, 8, up)  # the rest: z^k / (1 - z^2) <= 9 z^k / 8
 
 
-def _iv_fraction(value: Fraction):
-    return iv.mpf(value.numerator) / value.denominator
+_LN2 = (2 * _atanh(1, 3, False), 2 * _atanh(1, 3, True))
 
 
-def _entropy_iv(x):
-    """Binary entropy -x log2 x - (1-x) log2 (1-x) as an interval."""
-    ln2 = iv.log(2)
-    return -(x * iv.log(x) + (1 - x) * iv.log(1 - x)) / ln2
+def _ln(x: Fraction, up: bool) -> int:
+    """ln x = k ln 2 + 2 atanh((m - 1) / (m + 1)) for x = 2^k m, 1 <= m < 2."""
+    p, q = x.numerator, x.denominator
+    k = p.bit_length() - q.bit_length()
+    p, q = (p, q << k) if k >= 0 else (p << -k, q)
+    if p < q:
+        p, k = p << 1, k - 1
+    return k * (_LN2[up] if k >= 0 else _LN2[not up]) + 2 * _atanh(p - q, p + q, up)
 
 
-def _excess_iv(x):
-    """x + H(x) - 1; strictly increasing on (0, 1/2), root at lambda."""
-    return x + _entropy_iv(x) - 1
+def _entropy(x: Fraction, up: bool) -> int:
+    """H(x) = -(x ln x + (1 - x) ln(1 - x)) / ln 2 for 0 < x < 1."""
+    e = sum(_div(-_ln(w, not up) * w.numerator, w.denominator, up) for w in (x, 1 - x))
+    return _div(e << _P, _LN2[(e >= 0) != up], up)
 
 
-@contextmanager
-def _working_precision():
-    """Run the block with mpmath's interval context at _IV_PREC bits."""
-    old = iv.prec
-    iv.prec = _IV_PREC
-    try:
-        yield
-    finally:
-        iv.prec = old
+def _side(x: Fraction) -> int:
+    """-1 if x is below lambda, the root of x + H(x) = 1, 1 if above, 0 if undecided."""
+    p, q = x.numerator, x.denominator
+    return (_entropy(x, False) * q > (q - p) << _P) - (_entropy(x, True) * q < (q - p) << _P)
+
+
+def _exp2(y: int, up: bool) -> Fraction:
+    """2^(y / 2^P) = 2^floor * exp(t), t = frac * ln 2 < 1, as a Fraction."""
+    k, frac = divmod(y, _ONE)
+    t = _div(frac * _LN2[up], _ONE, up)
+    total, term, j = 0, _ONE, 0  # t^j / j!
+    while term > up:
+        total, j = total + term, j + 1
+        term = _div(term * t, j << _P, up)
+    return Fraction(total + 2 * term * up, _ONE) * Fraction(2) ** k  # the rest <= 2 t^j / j!
 
 
 @functools.cache
 def lambda_bracket() -> tuple[Fraction, Fraction]:
     """Certified enclosure of the root of x + H(x) = 1, width < 2^-48."""
-    with _working_precision():
-        lo, hi = Fraction(1, 5), Fraction(1, 4)
-        _, f_lo_upper = _interval_bounds(_excess_iv(_iv_fraction(lo)))
-        f_hi_lower, _ = _interval_bounds(_excess_iv(_iv_fraction(hi)))
-        if not (f_lo_upper < 0 < f_hi_lower):
-            raise AssertionError("bisection seed does not bracket lambda")
-        for _ in range(_LAMBDA_BITS + 3):
-            mid = (lo + hi) / 2
-            f_lo, f_hi = _interval_bounds(_excess_iv(_iv_fraction(mid)))
-            if f_hi < 0:
-                lo = mid
-            elif f_lo > 0:
-                hi = mid
-            else:  # pragma: no cover - 96-bit intervals decide dyadic midpoints
-                raise AssertionError("interval too wide to place bisection midpoint")
-        return lo, hi
+    lo, hi = Fraction(1, 5), Fraction(1, 4)
+    if (_side(lo), _side(hi)) != (-1, 1):
+        raise AssertionError("bisection seed does not bracket lambda")
+    for _ in range(_LAMBDA_BITS + 3):
+        mid = (lo + hi) / 2
+        side = _side(mid)
+        if side == 0:  # pragma: no cover - 120-bit enclosures decide dyadic midpoints
+            raise AssertionError("interval too wide to place bisection midpoint")
+        lo, hi = (mid, hi) if side < 0 else (lo, mid)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -165,19 +181,15 @@ def entropy_bound(n: int, c) -> EntropyBound:
     c = Fraction(c)
     if not 0 < c < Fraction(1, 2):
         raise RangeError(f"c must lie strictly between lambda and 1/2, got {c}")
-    with _working_precision():
-        f_lo, f_hi = _interval_bounds(_excess_iv(_iv_fraction(c)))
-        if f_lo <= 0:
-            if f_hi < 0:
-                raise RangeError(f"c = {c} is not above lambda")
-            raise RangeError(f"c = {c} is indistinguishable from lambda at working precision")
-        ln2 = iv.log(2)
-        entropy = _entropy_iv(_iv_fraction(c))
-        rate = iv.exp(entropy * ln2)
-        bound = iv.exp(entropy * ln2 * n)
-        rate_lo, rate_hi = _interval_bounds(rate)
-        bound_lo, bound_hi = _interval_bounds(bound)
-        return EntropyBound(c, n, rate_lo, rate_hi, bound_lo, bound_hi)
+    side = _side(c)
+    if side < 0:
+        raise RangeError(f"c = {c} is not above lambda")
+    if side == 0:
+        raise RangeError(f"c = {c} is indistinguishable from lambda at working precision")
+    h = _entropy(c, False), _entropy(c, True)
+    y = sorted(v * n for v in h)
+    rate, bound = (_exp2(h[0], False), _exp2(h[1], True)), (_exp2(y[0], False), _exp2(y[1], True))
+    return EntropyBound(c, n, *rate, *bound)
 
 
 def lambda_rate_bracket() -> tuple[Fraction, Fraction]:
@@ -187,11 +199,7 @@ def lambda_rate_bracket() -> tuple[Fraction, Fraction]:
     rate at the two bracket endpoints enclosing lambda brackets the value.
     """
     lo, hi = lambda_bracket()
-    with _working_precision():
-        ln2 = iv.log(2)
-        at_lo = _interval_bounds(iv.exp(_entropy_iv(_iv_fraction(lo)) * ln2))
-        at_hi = _interval_bounds(iv.exp(_entropy_iv(_iv_fraction(hi)) * ln2))
-        return at_lo[0], at_hi[1]
+    return _exp2(_entropy(lo, False), False), _exp2(_entropy(hi, True), True)
 
 
 # ---------------------------------------------------------------------------

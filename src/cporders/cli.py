@@ -170,6 +170,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of ``bounds --c``: a malformed value is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def cmd_bounds(args) -> int:
     rows = []
     for n in range(args.start, args.stop + 1):
@@ -188,7 +196,7 @@ def cmd_bounds(args) -> int:
         for r in rows
     ]
     if args.c is not None:
-        bound = entropy_bound(args.stop, Fraction(args.c))
+        bound = entropy_bound(args.stop, args.c)
         lam_lo, lam_hi = lambda_rate_bracket()
         payload["entropy"] = {
             "c": str(bound.c),
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="lower/upper bound table")
     p.add_argument("--from", dest="start", type=int, default=3)
     p.add_argument("--to", dest="stop", type=int, default=12)
-    p.add_argument("--c", help="entropy parameter in (lambda, 1/2), e.g. 0.25")
+    p.add_argument("--c", type=_rational, help="entropy parameter in (lambda, 1/2), e.g. 0.25")
     common(p)
     p.set_defaults(func=cmd_bounds)
 

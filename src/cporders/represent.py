@@ -58,16 +58,8 @@ class TradingTransform:
         return len(self.a_sets)
 
     def is_balanced(self) -> bool:
-        if len(self.a_sets) != len(self.b_sets):
-            return False
-        counts = {}
-        for s in self.a_sets:
-            for atom in s.atoms:
-                counts[atom] = counts.get(atom, 0) + 1
-        for s in self.b_sets:
-            for atom in s.atoms:
-                counts[atom] = counts.get(atom, 0) - 1
-        return all(v == 0 for v in counts.values())
+        a, b = ([atom for s in sets for atom in s.atoms] for sets in (self.a_sets, self.b_sets))
+        return len(self.a_sets) == len(self.b_sets) and sorted(a) == sorted(b)
 
     def to_json(self) -> dict:
         return {
@@ -298,18 +290,10 @@ def neighbor_witness_hint(
     w = (a | b).bit_count()
     if w < 2:
         return None
-    u = tuple(utilities)
-    gap = sum(u[i] for i in range(len(u)) if b >> i & 1) - sum(
-        u[i] for i in range(len(u)) if a >> i & 1
-    )
-    if gap != 1:
+    sign = [(b >> i & 1) - (a >> i & 1) for i in range(len(utilities))]
+    if sum(s * u for s, u in zip(sign, utilities)) != 1:  # the gap u(B) - u(A)
         return None
-    scale = 2 * w - 1
-    out = []
-    for i, value in enumerate(u):
-        sign = (b >> i & 1) - (a >> i & 1)
-        out.append(scale * value - 2 * sign)
-    return tuple(out)
+    return tuple((2 * w - 1) * u - 2 * s for s, u in zip(sign, utilities))
 
 
 def unfriendly_flips(

@@ -1,8 +1,11 @@
 """q_n, Fibonacci numbers, g/h counts, and the certified entropy bounds."""
 
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cporders.bounds import (
     entropy_bound,
@@ -152,6 +155,128 @@ class TestEntropyBounds:
             entropy_bound(5, Fraction(22, 100))  # below lambda
         with pytest.raises(RangeError):
             entropy_bound(5, 0)
+
+
+# ---------------------------------------------------------------------------
+# A slow exact oracle: Fraction partial sums with rigorous tail bounds, each
+# step rounded outward to a 2^-72 grid, enclosing values to about 2^-60.
+
+_GRID = 1 << 72
+_EPS = Fraction(1, 1 << 64)
+
+
+def _outward(lo, hi):
+    return Fraction(floor(lo * _GRID), _GRID), Fraction(ceil(hi * _GRID), _GRID)
+
+
+def _oracle_atanh(z):
+    """Sum of z^k / k over odd k, 0 <= z < 1; the rest is below z^k / (k (1 - z^2))."""
+    total, k = Fraction(0), 1
+    while z**k > _EPS:
+        total += z**k / k
+        k += 2
+    return _outward(total, total + z**k / (k * (1 - z * z)))
+
+
+def _oracle_ln(x):
+    k = 0
+    while x >= 2:
+        x, k = x / 2, k + 1
+    while x < 1:
+        x, k = x * 2, k - 1
+    a_lo, a_hi = _oracle_atanh((x - 1) / (x + 1))
+    ln2_lo, ln2_hi = _oracle_ln2()
+    k_lo, k_hi = sorted((k * ln2_lo, k * ln2_hi))
+    return _outward(k_lo + 2 * a_lo, k_hi + 2 * a_hi)
+
+
+def _oracle_ln2():
+    lo, hi = _oracle_atanh(Fraction(1, 3))
+    return 2 * lo, 2 * hi
+
+
+def _oracle_entropy(c):
+    """H(c) in bits for 0 < c < 1/2, where it is positive."""
+    e_lo = e_hi = Fraction(0)
+    for w in (c, 1 - c):
+        ln_lo, ln_hi = _oracle_ln(w)
+        e_lo, e_hi = e_lo - w * ln_hi, e_hi - w * ln_lo
+    ln2_lo, ln2_hi = _oracle_ln2()
+    assert e_lo > 0
+    return _outward(e_lo / ln2_hi, e_hi / ln2_lo)
+
+
+def _oracle_exp(t_lo, t_hi):
+    """exp on [t_lo, t_hi], 0 <= t <= 1/2: Taylor sums with the Lagrange
+    remainder e^s t^J / J! <= 2 t^J / J!."""
+    ends = []
+    for t, up in ((t_lo, False), (t_hi, True)):
+        total, term, j = Fraction(0), Fraction(1), 0
+        while term > _EPS:
+            total, j = total + term, j + 1
+            term = term * t / j
+        ends.append(total + 2 * term * up)
+    return _outward(*ends)
+
+
+def _oracle_pow2(y_lo, y_hi):
+    """2^y on [y_lo, y_hi], y >= 0, as exp(y ln 2 / 2^s) squared s times."""
+    ln2_lo, ln2_hi = _oracle_ln2()
+    t_lo, t_hi, s = y_lo * ln2_lo, y_hi * ln2_hi, 0
+    while t_hi > Fraction(1, 2):
+        t_lo, t_hi, s = t_lo / 2, t_hi / 2, s + 1
+    lo, hi = _oracle_exp(t_lo, t_hi)
+    for _ in range(s):
+        lo, hi = _outward(lo * lo, hi * hi)
+    return lo, hi
+
+
+def _meet(lo, hi, other):
+    return max(lo, other[0]) <= min(hi, other[1])
+
+
+def _narrow(lo, hi):
+    return 0 < lo <= hi and hi - lo < lo / (1 << 80)
+
+
+class TestEntropyOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.fractions(Fraction(11, 50), Fraction(1, 2), max_denominator=64).filter(
+            lambda c: lambda_bracket()[1] < c < Fraction(1, 2)
+        ),
+        n=st.integers(1, 30),
+    )
+    def test_enclosures_meet_the_oracle(self, c, n):
+        bound = entropy_bound(n, c)
+        h_lo, h_hi = _oracle_entropy(c)
+        assert _meet(bound.rate_lower, bound.rate_upper, _oracle_pow2(h_lo, h_hi))
+        assert _meet(bound.bound_lower, bound.bound_upper, _oracle_pow2(n * h_lo, n * h_hi))
+        assert _narrow(bound.rate_lower, bound.rate_upper)
+        assert _narrow(bound.bound_lower, bound.bound_upper)
+
+    def test_lambda_rate_meets_the_oracle(self):
+        lo, hi = lambda_bracket()
+        rate_lo, rate_hi = lambda_rate_bracket()
+        oracle = _oracle_pow2(_oracle_entropy(lo)[0], _oracle_entropy(hi)[1])
+        assert _meet(rate_lo, rate_hi, oracle)
+
+    def test_oracle_brackets_lambda(self):
+        # lambda is the root of x + H(x) = 1, strictly increasing below 1/2
+        lo, hi = lambda_bracket()
+        assert lo + _oracle_entropy(lo)[1] < 1 < hi + _oracle_entropy(hi)[0]
+
+    def test_lambda_bracket_is_pinned(self):
+        assert lambda_bracket() == (
+            Fraction(2556830814421511, 11258999068426240),
+            Fraction(2045464651537209, 9007199254740992),
+        )
+
+    def test_bracket_ends_are_the_acceptance_edge(self):
+        lo, hi = lambda_bracket()
+        assert entropy_bound(3, hi).c == hi
+        with pytest.raises(RangeError, match="is not above lambda"):
+            entropy_bound(3, lo)
 
 
 class TestVerifyFibonacciConstruction:

@@ -276,6 +276,37 @@ class TestBoundsAndVerify:
         lo, hi = blob["entropy"]["rate_interval"]
         assert lo <= hi < 1.7548
 
+    def test_bounds_entropy_output_is_pinned(self, capsys):
+        code, out = run(capsys, ["bounds", "--to", "12", "--c", "0.25"])
+        assert code == 0
+        assert json.loads(out)["entropy"] == {
+            "c": "1/4",
+            "lambda_rate_interval": [1.7087102834051413, 1.7087102834051413],
+            "rate_interval": [1.7547653506033232, 1.7547653506033232],
+        }
+        code, out = run(capsys, ["bounds", "--to", "12", "--c", "0.25", "--format", "text"])
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "2^H(1/4) in [1.754765, 1.754765], 2^H(lambda) in [1.708710, 1.708710]"
+        )
+
+    @pytest.mark.parametrize("c", ["3/0", "abc", "nan"])
+    def test_bounds_rejects_malformed_c(self, capsys, c):
+        assert main(["bounds", "--c", c]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --c: not a rational number: {c!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [("0.22", "c = 11/50 is not above lambda"), ("0.5", "strictly between lambda and 1/2")],
+    )
+    def test_bounds_rejects_c_out_of_range(self, capsys, c, message):
+        assert main(["bounds", "--c", c]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_verify_fibonacci(self, capsys):
         code, out = run(capsys, ["verify-fibonacci", "--n", "4"])
         assert code == 0
@@ -295,6 +326,23 @@ class TestBoundsAndVerify:
 
 
 class TestUsage:
+    def test_imports_only_the_standard_library(self):
+        # the package has no runtime dependency: importing the CLI loads
+        # nothing but cporders and standard-library modules (-S keeps the
+        # .pth files of site-packages from importing modules of their own)
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import cporders.cli; "
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-E", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "cporders" in loaded
+        assert loaded - {"__main__", "cporders"} <= sys.stdlib_module_names
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
