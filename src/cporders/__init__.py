@@ -50,7 +50,6 @@ from .errors import (
 )
 from .flips import (
     CriticalPair,
-    FlippablePair,
     critical_pairs,
     flip,
     flip_neighbors,

@@ -25,7 +25,6 @@ Fractions, so comparisons on them are exact.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -228,9 +227,7 @@ class FibonacciReport:
         )
 
 
-def verify_fibonacci_construction(
-    base_n: int, check_friendly: bool = True, allow_large: bool = False
-) -> FibonacciReport:
+def verify_fibonacci_construction(base_n: int, check_friendly: bool = True) -> FibonacciReport:
     """Build the inserted-value order on base_n + 1 atoms and verify:
 
     (i)   its flippable-pair count equals g + h and the Fibonacci number
@@ -239,20 +236,9 @@ def verify_fibonacci_construction(
           the inserted atom <=> utility gap is 1 (the three-way equivalence);
     (iii) every flip neighbour is representable (all flips friendly).
 
-    Raises VerificationError naming the first failed assertion.
+    Raises VerificationError naming the first failed assertion, and
+    ValueError (from ``maclagan_utilities``) unless 3 <= base_n <= 15.
     """
-    if base_n < 3:
-        raise ValueError(f"construction needs base_n >= 3, got {base_n}")
-    if base_n > 11:
-        if not allow_large:
-            raise ValueError(
-                "base_n > 11 is outside the checked range; pass allow_large=True"
-            )
-        warnings.warn(
-            f"verifying base_n={base_n} beyond the standard range; this is slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     utilities = maclagan_utilities(base_n)
     order = order_from_utilities(utilities)
     sums = subset_sums(utilities)
@@ -266,7 +252,7 @@ def verify_fibonacci_construction(
         gap = sums[pair.b.mask] - sums[pair.a.mask]
         if flippable != one_side or one_side != (gap == 1):
             raise VerificationError(
-                f"trichotomy fails at ranks {pair.rank_a},{pair.rank_b}: "
+                f"trichotomy fails at ranks {pair.rank_a},{pair.rank_a + 1}: "
                 f"flippable={flippable}, one_side={one_side}, gap={gap}"
             )
         if flippable:

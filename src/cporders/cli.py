@@ -35,6 +35,7 @@ from .orders import (
     order_to_line,
     order_to_lines,
     read_order,
+    validate_order,
     write_order,
 )
 from .represent import Certificate, check_certificate, find_trading_transform, is_representable
@@ -74,8 +75,18 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _read_valid_order(path):
+    """``read_order`` plus the order axioms, which flips presume: on a file
+    that breaks them, a flip could yield a ranking that is no order."""
+    order = read_order(path)
+    report = validate_order(order)
+    if not report.ok:
+        raise ValueError(report.message)
+    return order
+
+
 def cmd_flips(args) -> int:
-    order = read_order(args.order_file)
+    order = _read_valid_order(args.order_file)
     pairs = flippable_pairs(order)
     payload = {
         "n": order.n,
@@ -83,7 +94,7 @@ def cmd_flips(args) -> int:
         "pairs": [fp.to_json() for fp in pairs],
     }
     lines = [f"{len(pairs)} flippable pairs"] + [
-        f"  ({fp.a.to_text()}, {fp.b.to_text()}) at rank {fp.pair.rank_a}, "
+        f"  ({fp.a.to_text()}, {fp.b.to_text()}) at rank {fp.rank_a}, "
         f"{fp.adjacencies} adjacencies"
         for fp in pairs
     ]
@@ -92,7 +103,7 @@ def cmd_flips(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    order = read_order(args.order_file)
+    order = _read_valid_order(args.order_file)
     flipped = [neighbor for _, neighbor in flip_neighbors(order)]
     payload = {
         "n": order.n,
@@ -212,9 +223,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_fibonacci(args) -> int:
-    report = verify_fibonacci_construction(
-        args.n, check_friendly=not args.skip_friendly, allow_large=args.allow_large
-    )
+    report = verify_fibonacci_construction(args.n, check_friendly=not args.skip_friendly)
     payload = {
         "base_n": report.base_n,
         "atoms": report.atoms,
@@ -321,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-fibonacci", help="check the Fibonacci construction")
     p.add_argument("--n", type=int, required=True, help="base atom count (order lives on n+1)")
     p.add_argument("--skip-friendly", action="store_true")
-    p.add_argument("--allow-large", action="store_true")
     common(p)
     p.set_defaults(func=cmd_verify_fibonacci)
 

@@ -22,7 +22,7 @@ from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from .errors import ConeAxiomError
-from .orders import ComparativeOrder, Subset
+from .orders import ComparativeOrder, Subset, subset_sums
 
 TernaryVector = tuple[int, ...]
 
@@ -66,9 +66,7 @@ def _ternary_tables(n: int) -> tuple[list[int], list[int], list[int]]:
     weight[2^n - 1].  ``not_plus[i]`` and ``not_minus[i]`` are the 3^n-bit
     sets of indices whose entry i is not +1, and not -1.
     """
-    weight = [0]
-    for i in range(n):
-        weight += [w + 3**i for w in weight]
+    weight = subset_sums([3**i for i in range(n)])
     not_plus, not_minus = [], []
     for i in range(n):
         # digit i runs 0, 1, 2 (entry -1, 0, +1) in blocks of 3^i

@@ -7,6 +7,12 @@ when every translate (A|D, B|D) by D inside the complement of A|B is also
 consecutive.  Flipping swaps all 2^r such translates at once (r the size of
 the complement) and always yields another valid order, provided A is
 nonempty.
+
+One type, ``CriticalPair``, describes both kinds: a flippable pair is a
+critical pair that passes ``is_flippable``.  Its ``adjacencies`` count,
+2^r, follows from the masks alone; for a flippable pair it is the number of
+consecutive-rank slots the translates occupy.  The translate walk reads
+masks, so ``flippable_pairs`` builds Subsets only for the pairs it returns.
 """
 
 from __future__ import annotations
@@ -20,61 +26,41 @@ from .orders import ComparativeOrder, Subset, validate_order
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """Disjoint subsets occupying consecutive ranks, smaller side first."""
+    """Disjoint subsets at ranks ``rank_a`` and ``rank_a + 1``, smaller side
+    first."""
 
     a: Subset
     b: Subset
     rank_a: int
 
     @property
-    def rank_b(self) -> int:
-        return self.rank_a + 1
-
-
-@dataclass(frozen=True)
-class FlippablePair:
-    """A critical pair all of whose translates are adjacent.
-
-    ``adjacencies`` is 2^r with r the complement size of A|B: the number of
-    consecutive-rank slots this pair occupies in the order.
-    """
-
-    pair: CriticalPair
-    adjacencies: int
-
-    @property
-    def a(self) -> Subset:
-        return self.pair.a
-
-    @property
-    def b(self) -> Subset:
-        return self.pair.b
+    def adjacencies(self) -> int:
+        """Number of translates (A|D, B|D), D inside the complement of A|B."""
+        return 1 << (self.a.n - (self.a.mask | self.b.mask).bit_count())
 
     def to_json(self) -> dict:
         return {
             "A": list(self.a.atoms),
             "B": list(self.b.atoms),
-            "rank": self.pair.rank_a,
+            "rank": self.rank_a,
             "adjacencies": self.adjacencies,
         }
 
 
 def critical_pairs(order: ComparativeOrder) -> list[CriticalPair]:
     """All disjoint consecutive pairs, in rank order."""
-    n = order.n
-    ranked = order.ranked
-    out = []
-    for k in range(len(ranked) - 1):
-        if ranked[k] & ranked[k + 1] == 0:
-            out.append(CriticalPair(Subset(ranked[k], n), Subset(ranked[k + 1], n), k))
-    return out
+    n, ranked = order.n, order.ranked
+    return [
+        CriticalPair(Subset(a, n), Subset(b, n), k)
+        for k, (a, b) in enumerate(zip(ranked, ranked[1:]))
+        if not a & b
+    ]
 
 
-def _translate_ranks(order: ComparativeOrder, pair: CriticalPair) -> Optional[list[int]]:
-    """Rank of A|D for every D inside the complement of A|B, or None as
-    soon as some translate (A|D, B|D) is not adjacent."""
+def _translate_ranks(order: ComparativeOrder, a: int, b: int) -> Optional[list[int]]:
+    """Rank of A|D for every D inside the complement of A|B (masks a, b),
+    or None as soon as some translate (A|D, B|D) is not adjacent."""
     pos = order.position
-    a, b = pair.a.mask, pair.b.mask
     comp = ~(a | b) & ((1 << order.n) - 1)
     ranks = []
     d = comp
@@ -90,32 +76,31 @@ def _translate_ranks(order: ComparativeOrder, pair: CriticalPair) -> Optional[li
 
 def is_flippable(order: ComparativeOrder, pair: CriticalPair) -> bool:
     """Every translate (A|D, B|D) with D disjoint from A|B must be adjacent."""
-    return _translate_ranks(order, pair) is not None
+    return _translate_ranks(order, pair.a.mask, pair.b.mask) is not None
 
 
-def flippable_pairs(order: ComparativeOrder) -> list[FlippablePair]:
-    out = []
-    for pair in critical_pairs(order):
-        ranks = _translate_ranks(order, pair)
-        if ranks is not None:
-            out.append(FlippablePair(pair, len(ranks)))
-    return out
+def flippable_pairs(order: ComparativeOrder) -> list[CriticalPair]:
+    """The critical pairs that pass ``is_flippable``, in rank order."""
+    n, ranked = order.n, order.ranked
+    return [
+        CriticalPair(Subset(a, n), Subset(b, n), k)
+        for k, (a, b) in enumerate(zip(ranked, ranked[1:]))
+        if not a & b and _translate_ranks(order, a, b) is not None
+    ]
 
 
-def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> ComparativeOrder:
+def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
     """Reverse every comparison (A|D, B|D) of a flippable pair with A nonempty.
 
     The result is again a comparative probability order; flipping the image
     pair back recovers the input.
     """
-    if isinstance(pair, FlippablePair):
-        pair = pair.pair
     if pair.a.mask == 0:
         raise EmptySideError(
             f"cannot flip ({pair.a.to_text()}, {pair.b.to_text()}): "
             "the empty set must stay strictly first"
         )
-    ranks = _translate_ranks(order, pair)
+    ranks = _translate_ranks(order, pair.a.mask, pair.b.mask)
     if ranks is None:
         raise ValueError(f"pair ({pair.a}, {pair.b}) is not flippable for this order")
     ranked = list(order.ranked)
@@ -133,7 +118,7 @@ def flip(order: ComparativeOrder, pair: "FlippablePair | CriticalPair") -> Compa
 
 def flip_neighbors(
     order: ComparativeOrder,
-) -> Iterator[tuple[FlippablePair, ComparativeOrder]]:
+) -> Iterator[tuple[CriticalPair, ComparativeOrder]]:
     """Each flippable pair with nonempty smaller side and the order its flip
     yields, in ``flippable_pairs`` order.  Lazy, so a caller holds one
     neighbour at a time: a 12-atom order has hundreds of them."""

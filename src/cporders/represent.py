@@ -40,7 +40,7 @@ from .errors import (
     CporderError, LengthMismatchError, NotNeighborsError, NotRepresentableError, ResourceError,
     VerificationError,
 )
-from .flips import FlippablePair, flip_neighbors, flippable_pairs
+from .flips import CriticalPair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
 from .orders import ComparativeOrder, Subset, subset_sums
 
@@ -233,7 +233,7 @@ def find_trading_transform(
     Candidates are the nonzero members chi(A, B) of the order's cone, one
     per disjoint pair with A before B (intersections can always be removed
     from a transform).  Vector x gets the int code sum_i x_i b^i with b =
-    2 k_max + 1, tabled per mask by doubling as in ``subset_sums``; codes
+    2 k_max + 1, tabled per mask by ``subset_sums``; codes
     add like vectors and are one-to-one on entries in [-k_max, k_max], so a
     sum of at most k_max members is zero exactly when its code is 0.
     ``sums[j]`` maps the code of each sum of j members to the code of a
@@ -250,9 +250,7 @@ def find_trading_transform(
     n = order.n
     if (2 * ((k_max + 1) // 2) + 1) ** n > 1 << 21:
         raise ResourceError(f"transform search to length {k_max} on {n} atoms exceeds 2^21 sums")
-    code = [0]
-    for i in range(n):
-        code += [c + (2 * k_max + 1) ** i for c in code]
+    code = subset_sums([(2 * k_max + 1) ** i for i in range(n)])
     low = (1 << n) - 1
     members = {code[p >> n] - code[p & low]: p for p in cone_from_order(order).packed_members() if p}
     sums = [{0: 0}]
@@ -276,7 +274,7 @@ def find_trading_transform(
 
 
 def neighbor_witness_hint(
-    utilities: Sequence[int], pair: FlippablePair
+    utilities: Sequence[int], pair: CriticalPair
 ) -> Optional[tuple[int, ...]]:
     """Perturbed utilities representing the flip of a gap-1 flippable pair.
 
@@ -298,7 +296,7 @@ def neighbor_witness_hint(
 
 def unfriendly_flips(
     order: ComparativeOrder, utilities: Sequence[int]
-) -> list[FlippablePair]:
+) -> list[CriticalPair]:
     """Flippable pairs of an order represented by ``utilities`` whose flip
     is nonrepresentable; each neighbour is decided with its witness hint."""
     return [

@@ -300,9 +300,15 @@ class TestVerifyFibonacciConstruction:
         assert report.flippable_count == 21
         assert report.neighbors_checked == 0
 
-    def test_large_base_needs_flag(self):
-        with pytest.raises(ValueError):
-            verify_fibonacci_construction(12)
+    def test_base_above_15_is_rejected(self):
+        with pytest.raises(ValueError, match="3..15, got 16"):
+            verify_fibonacci_construction(16)
+
+    def test_base_12_needs_no_flag(self):
+        # ~0.5 s with friendliness on a 2-core Xeon
+        report = verify_fibonacci_construction(12)
+        assert report.flippable_count == 377 == fibonacci(14)
+        assert report.all_friendly
 
     def test_rejects_tiny_base(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """CLI wiring: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -68,6 +69,49 @@ class TestFlipsAndNeighbors:
         code, out = run(capsys, ["neighbors", "--order-file", str(lex3_file)])
         assert code == 0
         assert json.loads(out)["count"] == 2
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (["--lex", "3"], "eb3270519d89f62126e0a8b05b409dc0d345b8dd0413df80dbd15c88ef01c2f3"),
+            (["--lex", "4"], "fea0e9558d0f024bf2ebabc5d12a1dc0b8c36e2a0e5abb5f8003ecaa41a50c96"),
+            (["--maclagan", "5"], "3a7f74e9467c5b1820992f521f92815089a819c63168febcdbe933cb8d754b14"),
+        ],
+    )
+    def test_flips_json_bytes_pinned(self, capsys, tmp_path, spec, digest):
+        # SHA-256 of the report as written when a flippable pair was its own type
+        path = tmp_path / "order.ord"
+        assert main(["construct", *spec, "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, ["flips", "--order-file", str(path), "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["flips", "neighbors"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_union_inconsistent_file_is_rejected(self, capsys, tmp_path, command, n):
+        from cporders.orders import (
+            ComparativeOrder,
+            lexicographic_utilities,
+            order_from_utilities,
+            write_order,
+        )
+
+        if n == 3:
+            # {1} < {2} but {2,3} < {1,3}
+            ranked = [0, 1, 2, 3, 4, 6, 5, 7]
+        else:
+            # the lex order with masks 5 and 6 swapped
+            ranked = list(order_from_utilities(lexicographic_utilities(6)).ranked)
+            i, j = ranked.index(5), ranked.index(6)
+            ranked[i], ranked[j] = ranked[j], ranked[i]
+        path = tmp_path / "bad.ord"
+        write_order(ComparativeOrder(n, ranked), path)
+        assert main([command, "--order-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: union consistency fails: ")
+        assert "Traceback" not in captured.err
 
 
 class TestRepresent:
@@ -313,8 +357,15 @@ class TestBoundsAndVerify:
         blob = json.loads(out)
         assert blob["flippable"] == 8 and blob["all_friendly"]
 
-    def test_verify_fibonacci_large_needs_flag(self, capsys):
-        assert main(["verify-fibonacci", "--n", "12"]) == 1
+    def test_verify_fibonacci_base_16_is_rejected(self, capsys):
+        assert main(["verify-fibonacci", "--n", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3..15, got 16" in err
+
+    def test_verify_fibonacci_base_12_needs_no_flag(self, capsys):
+        code, out = run(capsys, ["verify-fibonacci", "--n", "12", "--skip-friendly"])
+        assert code == 0
+        assert json.loads(out)["flippable"] == 377  # F_14
 
     def test_verify_fibonacci_failure_exits_two(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

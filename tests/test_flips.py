@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cporders.census import enumerate_orders
 from cporders.cones import characteristic_vector, cone_from_order, irreducible_elements
 from cporders.errors import EmptySideError, NotRepresentableError, TieError, VerificationError
 from cporders.flips import (
     CriticalPair,
+    _translate_ranks,
     critical_pairs,
     flip,
     flip_neighbors,
@@ -266,3 +268,26 @@ def test_empty_pair_flippable_examples(lex3):
     assert facet_count(lex3) == len(neighbors(lex3)) + 1
     order = order_from_utilities((2, 3, 4, 8))
     assert not is_flippable(order, critical_pairs(order)[0])
+
+
+class TestMaskWalk:
+    """``flippable_pairs`` walks translates on masks and builds Subsets only
+    for the pairs it keeps; it must agree with the definition, pair by pair."""
+
+    @staticmethod
+    def assert_definition(order):
+        pairs = flippable_pairs(order)
+        assert pairs == [p for p in critical_pairs(order) if is_flippable(order, p)]
+        for p in pairs:
+            assert p.adjacencies == len(_translate_ranks(order, p.a.mask, p.b.mask))
+
+    def test_census_orders(self, n3_census, n4_census, n5_census):
+        censuses = [enumerate_orders(1), enumerate_orders(2), n3_census, n4_census, n5_census]
+        for census in censuses:
+            for order in census.orders:
+                self.assert_definition(order)
+
+    def test_random_orders(self):
+        rng = random.Random(20261019)
+        for _ in range(50):
+            self.assert_definition(random_utility_order(rng.randint(6, 10), rng))
