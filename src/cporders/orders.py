@@ -15,6 +15,16 @@ is not names a violating triple.
 Atoms are labelled 1..n; atom i corresponds to bit i-1 of a mask.  Everything
 is exact integer arithmetic; n is capped at 16 so a subset always fits a
 machine word, while utilities themselves may be arbitrarily large.
+
+Order files (and the ';'-joined lines of census files and checkpoint keys)
+hold n, then one subset per line, smallest first, each written by
+:meth:`Subset.to_text`.  Text goes through two tables cached per n:
+``_subset_texts(n)`` holds every mask's text, built by doubling as
+``subset_sums`` is, and ``_text_masks(n)`` is its inverse.  Writing is one
+index per line; reading is a dict lookup per stripped line, and only a
+line the table lacks (``3,1``, ``1 , 2``, ``01`` or a malformed one) goes
+through ``_mask_from_text``, which defines what the format accepts and
+names the first bad line.
 """
 
 from __future__ import annotations
@@ -232,9 +242,12 @@ class ValidationReport:
         if self.ok:
             return "pass"
         if self.empty_set_witness is not None:
-            return f"empty set is not strictly first (see {self.empty_set_witness})"
+            return f"empty set is not strictly first (see {self.empty_set_witness.to_text()})"
         a, b, c = self.triple
-        return f"union consistency fails: {a} < {b} but not {a.union(c)} < {b.union(c)}"
+        return (
+            f"union consistency fails: {a.to_text()} < {b.to_text()} "
+            f"but not {a.union(c).to_text()} < {b.union(c).to_text()}"
+        )
 
 
 def validate_order(order: ComparativeOrder) -> ValidationReport:
@@ -323,12 +336,30 @@ def maclagan_utilities(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Order file format: line 1 is n, then 2^n lines of subsets, smallest first.
 
+@cache
+def _subset_texts(n: int) -> tuple[str, ...]:
+    """``Subset(m, n).to_text()`` for every mask m, indexed by mask: the
+    masks holding atom i+1 append ``,i+1`` to the texts below 1 << i."""
+    texts = [""]
+    for atom in range(1, n + 1):
+        texts += [f"{t},{atom}" if t else str(atom) for t in texts]
+    texts[0] = "-"
+    return tuple(texts)
+
+
+@cache
+def _text_masks(n: int) -> dict[str, int]:
+    """Mask of every canonical subset text: the inverse of ``_subset_texts``."""
+    return {text: mask for mask, text in enumerate(_subset_texts(n))}
+
+
 def order_to_lines(order: ComparativeOrder) -> list[str]:
-    return [str(order.n)] + [s.to_text() for s in order.subsets()]
+    texts = _subset_texts(order.n)
+    return [str(order.n)] + [texts[m] for m in order.ranked]
 
 
 def order_from_lines(lines: Sequence[str]) -> ComparativeOrder:
-    lines = [ln.strip() for ln in lines if ln.strip()]
+    lines = [s for ln in lines if (s := ln.strip())]
     if not lines:
         raise ValueError("empty order description")
     try:
@@ -339,7 +370,8 @@ def order_from_lines(lines: Sequence[str]) -> ComparativeOrder:
     body = lines[1:]
     if len(body) != 1 << n:
         raise ValueError(f"expected {1 << n} subset lines for n={n}, got {len(body)}")
-    ranked = [_mask_from_text(tok, n) for tok in body]
+    masks = _text_masks(n)
+    ranked = [masks[t] if t in masks else _mask_from_text(t, n) for t in body]
     if ranked[0] != 0:
         raise ValueError("first-ranked subset must be the empty set")
     return ComparativeOrder(n, ranked)

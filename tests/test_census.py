@@ -1,5 +1,7 @@
 """Census enumeration, the permutation-filter oracle, edges, stats, and I/O."""
 
+import hashlib
+
 import pytest
 
 from cporders.census import (
@@ -186,6 +188,16 @@ class TestPersistence:
         assert loaded.representable == n4_census.representable
         assert loaded.irr_counts == n4_census.irr_counts
         assert census_stats(loaded).max_facets == 5
+
+    def test_written_bytes_pinned(self, n4_census, tmp_path):
+        # SHA-256 of the file as written when each subset text was built by
+        # Subset.to_text; writing what was read back gives the same bytes
+        first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+        write_census(n4_census, first)
+        write_census(read_census(first), second)
+        digest = "12a65927e0932d80e4b54bd60254408046fd02b209542213ee6fca2dd4a644e6"
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == digest
+        assert second.read_bytes() == first.read_bytes()
 
     def test_mixed_atom_counts_rejected(self, n3_census, n4_census, tmp_path):
         three, four = tmp_path / "census3.ndjson", tmp_path / "census4.ndjson"

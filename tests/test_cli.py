@@ -56,6 +56,23 @@ class TestConstruct:
         _, second = run(capsys, ["construct", "--maclagan", "4"])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "e9b8137671a80f2f44039b095877c16fd15ec8628f3dc3e58cd88f1ac87b4c7d"),
+            ("text", "420ef502bc89c41deea276721049de37da2f374121e5a55e56932b20f871cc61"),
+        ],
+    )
+    def test_maclagan_11_bytes_pinned(self, capsys, tmp_path, fmt, digest):
+        # SHA-256 of stdout as written when each subset text was built by
+        # Subset.to_text; the text report is the order file itself
+        path = tmp_path / "mac11.ord"
+        code, out = run(capsys, ["construct", "--maclagan", "11", "--format", fmt, "--out", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        file_digest = "420ef502bc89c41deea276721049de37da2f374121e5a55e56932b20f871cc61"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
+
 
 class TestFlipsAndNeighbors:
     def test_flips_json(self, capsys, lex3_file):
@@ -110,7 +127,8 @@ class TestFlipsAndNeighbors:
         assert main([command, "--order-file", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: union consistency fails: ")
+        # subsets are named as in order files, not by their repr
+        assert captured.err == "error: union consistency fails: 1 < 2 but not 1,3 < 2,3\n"
         assert "Traceback" not in captured.err
 
 

@@ -141,6 +141,7 @@ class TestValidateOrder:
         report = validate_order(ComparativeOrder(2, (1, 0, 2, 3)))
         assert not report.ok
         assert report.empty_set_witness is not None
+        assert report.message == "empty set is not strictly first (see 1)"
 
     def test_positions_invert_ranks(self):
         order = order_from_utilities((3, 5, 9, 18))
