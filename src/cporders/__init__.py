@@ -80,11 +80,10 @@ from .represent import (
     check_trading_transform,
     facet_count,
     find_trading_transform,
-    friendly,
     is_representable,
     neighbor_witness_hint,
     unfriendly_flips,
 )
-from .sequences import QSequence, fibonacci, fibonacci_nearest_phi, q_value
+from .sequences import QSequence, fibonacci, q_value
 
 __version__ = "0.1.0"

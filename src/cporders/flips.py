@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import EmptySideError, VerificationError
-from .orders import ComparativeOrder, Subset, validate_order
+from .orders import ComparativeOrder, Subset, _pass_lanes, validate_order
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
     """Reverse every comparison (A|D, B|D) of a flippable pair with A nonempty.
 
     The result is again a comparative probability order; flipping the image
-    pair back recovers the input.
+    pair back recovers the input.  Rank lanes on ``order`` pass on to the
+    result.
     """
     if pair.a.mask == 0:
         raise EmptySideError(
@@ -107,10 +108,11 @@ def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
     for k in ranks:
         ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
     result = ComparativeOrder(order.n, ranked)
+    _pass_lanes(order, result, pair.a.mask, pair.b.mask, ranks)
     # capped at 5 atoms: validate_order makes n passes over the order, which
-    # at 12 atoms (~3.4 ms) still costs more than a flip plus the hint check
-    # of the neighbour it yields (~0.2 + ~0.75 ms), and verify-fibonacci
-    # flips every flippable pair
+    # at 12 atoms (~3-4 ms) costs ten times a flip plus the hint check of the
+    # neighbour it yields on rank lanes (~0.22 + ~0.1 ms), and
+    # verify-fibonacci flips every flippable pair
     if order.n <= 5 and not validate_order(result).ok:
         raise VerificationError(f"flip over ({pair.a}, {pair.b}) gave an invalid order")
     return result

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import lt
+from operator import lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DuplicateError, NotSortedError, TieError, VerificationError
@@ -152,13 +152,16 @@ class ComparativeOrder:
     """A linear order on all 2^n subsets of [n], smallest first.
 
     Stored as the ranked sequence of masks; its inverse, ``position`` (rank
-    by mask), is built on first read and kept.  Construction only checks
-    that ``ranked`` is a permutation of all masks; the semantic axioms are
+    by mask), is built on first read and kept.  A second private cache,
+    ``_lanes``, holds the order's rank lanes (see ``_laned_copy``) when
+    something attached them; like ``position`` it takes no part in
+    equality, hashing or pickling.  Construction only checks that
+    ``ranked`` is a permutation of all masks; the semantic axioms are
     checked by :func:`validate_order`.  Instances are immutable and
     hashable.
     """
 
-    __slots__ = ("n", "ranked", "_position")
+    __slots__ = ("n", "ranked", "_position", "_lanes")
 
     def __init__(self, n: int, ranked: Sequence[int]):
         _check_n(n)
@@ -170,6 +173,7 @@ class ComparativeOrder:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ranked", ranked)
         object.__setattr__(self, "_position", None)
+        object.__setattr__(self, "_lanes", None)
 
     @property
     def position(self) -> tuple[int, ...]:
@@ -218,6 +222,75 @@ class ComparativeOrder:
             seq = " < ".join(s.to_text() for s in self.subsets())
             return f"ComparativeOrder(n={self.n}: {seq})"
         return f"ComparativeOrder(n={self.n}, 2^{self.n} subsets)"
+
+
+# ---------------------------------------------------------------------------
+# Rank lanes: the ranked masks packed so that the subset sums of a utility
+# vector along the ranking come out of n big-int products.  ``_lanes`` is
+# (L, lanes, (G, LOW, ONES)): L a lane width in whole bytes, lanes[i] the int
+# whose L-bit lane k is bit i of ranked[k], and three masks over lanes
+# 0..2^n - 2 (G holds each one's top bit, LOW fills them, ONES puts 1 in
+# each).  Then sum_i u_i * lanes[i] has lane k equal to u(ranked[k]),
+# exactly while every sum stays below 2^L.
+
+def _laned_copy(order: ComparativeOrder, bits: int) -> ComparativeOrder:
+    """An equal order carrying rank lanes at least ``bits`` wide; it shares
+    ``order``'s position table when that is built."""
+    step = -(-bits // 8)
+    width, ranked = 8 * step, order.ranked
+    copy = ComparativeOrder(order.n, ranked)
+    object.__setattr__(copy, "_position", order._position)
+    buf = bytearray(len(ranked) * step)
+    lanes = []
+    for i in range(order.n):
+        buf[::step] = bytes([m >> i & 1 for m in ranked])
+        lanes.append(int.from_bytes(buf, "little"))
+    count = len(ranked) - 1
+    ones = int.from_bytes(bytes([1] + [0] * (step - 1)) * count, "little")
+    masks = (ones << (width - 1), (1 << width * count) - 1, ones)
+    object.__setattr__(copy, "_lanes", (width, tuple(lanes), masks))
+    return copy
+
+
+def _pass_lanes(
+    order: ComparativeOrder, result: ComparativeOrder, a: int, b: int, ranks: Sequence[int]
+) -> None:
+    """Give ``result`` the rank lanes of ``order``, if it has any, where
+    ``result`` is ``order`` with ranks k and k + 1 swapped for each k in
+    ``ranks``, and ranked[k] = A|D, ranked[k + 1] = B|D with D disjoint from
+    A|B (masks a, b).  Bit i of A|D and B|D differs only for the atoms of A
+    and B, so with M = sum_k 2^(kL) each atom of B gains M - (M << L), each
+    atom of A loses it, and every other atom's int is shared."""
+    if order._lanes is None:
+        return
+    width, lanes, masks = order._lanes
+    step = width // 8
+    buf = bytearray(len(order.ranked) * step)
+    for k in ranks:
+        buf[k * step] = 1
+    m = int.from_bytes(buf, "little")
+    delta = m - (m << width)
+    lanes = tuple(
+        lane + delta if b >> i & 1 else lane - delta if a >> i & 1 else lane
+        for i, lane in enumerate(lanes)
+    )
+    object.__setattr__(result, "_lanes", (width, lanes, masks))
+
+
+def _lanes_rise(order: ComparativeOrder, utilities: Sequence[int]) -> Optional[bool]:
+    """Whether the subset sums of n positive ``utilities`` rise strictly
+    along ``order.ranked``, read off its rank lanes; None when the order
+    has none or sum(utilities) >= 2^(L-1).  Below that bound every lane of
+    ((p >> L) | G) - (p & LOW) - ONES, p = sum_i u_i * lanes[i], holds
+    2^(L-1) + u(ranked[k + 1]) - u(ranked[k]) - 1 in [0, 2^L), so no lane
+    borrows, and its guard bit (the top one) is set iff the step rises."""
+    if order._lanes is None:
+        return None
+    width, lanes, (guard, low, ones) = order._lanes
+    if sum(utilities) >= 1 << (width - 1):
+        return None
+    p = sum(map(mul, utilities, lanes))
+    return ((p >> width | guard) - (p & low) - ones) & guard == guard
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,19 @@ certificate's JSON is {"verdict": "representable", "utilities": [u_1, ...,
 u_n]} or {"verdict": "nonrepresentable", "transform": {"As": [[atoms], ...],
 "Bs": [[atoms], ...]}}, atoms numbered from 1; ``Certificate.from_json``
 reads back exactly what ``Certificate.to_json`` writes.
+
+On an order carrying rank lanes (only the flip neighbours inside
+``unfriendly_flips`` do; see ``orders._laned_copy``), utilities are
+checked without their 2^n subset sums.  Lane k of p = sum_i u_i *
+lanes[i] is u(ranked[k]), so subtracting p from itself shifted down one
+lane compares every adjacent pair at once: a guard bit put at the top of
+each L-bit lane survives exactly where the sums rise strictly.  That is
+exact while sum(u) < 2^(L-1), so that no lane overflows or borrows;
+larger utilities take the list path.  ``unfriendly_flips`` sets L two
+bits above (2n + 1) sum(u) + 2n, which bounds every gap-1 hint's sum,
+rounded up to whole bytes.  ``flip`` hands the lanes on by the swap
+identity: bit i of A|D and of B|D differ only for the atoms of A and B,
+so only their ints change.
 """
 
 from __future__ import annotations
@@ -37,12 +50,11 @@ from typing import Optional, Sequence
 
 from .cones import cone_from_order
 from .errors import (
-    CporderError, LengthMismatchError, NotNeighborsError, NotRepresentableError, ResourceError,
-    VerificationError,
+    CporderError, LengthMismatchError, NotRepresentableError, ResourceError, VerificationError,
 )
 from .flips import CriticalPair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
-from .orders import ComparativeOrder, Subset, subset_sums
+from .orders import ComparativeOrder, Subset, _laned_copy, _lanes_rise, subset_sums
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,9 @@ def check_certificate(cert: Certificate, order: ComparativeOrder) -> bool:
         u = cert.utilities
         if u is None or len(u) != order.n or not all(v > 0 for v in u):
             return False
+        rises = _lanes_rise(order, u)
+        if rises is not None:
+            return rises
         ranked_sums = list(map(subset_sums(u).__getitem__, order.ranked))
         return all(map(lt, ranked_sums, ranked_sums[1:]))
     if cert.verdict != "nonrepresentable" or cert.transform is None:
@@ -282,7 +297,8 @@ def neighbor_witness_hint(
     then (2w-1)*u - 2*chi(A,B) with w = |A| + |B| represents the flipped
     order: the flipped translates land at gap -1 while every other adjacent
     gap stays >= 1.  Returns None when the gap precondition fails; callers
-    must verify the hint regardless (is_representable does).
+    must verify the hint regardless with :func:`check_certificate` (as
+    is_representable does).
     """
     a, b = pair.a.mask, pair.b.mask
     w = (a | b).bit_count()
@@ -298,23 +314,20 @@ def unfriendly_flips(
     order: ComparativeOrder, utilities: Sequence[int]
 ) -> list[CriticalPair]:
     """Flippable pairs of an order represented by ``utilities`` whose flip
-    is nonrepresentable; each neighbour is decided with its witness hint."""
+    is nonrepresentable; each neighbour is decided with its witness hint.
+
+    The neighbours come from a copy of ``order`` carrying rank lanes wide
+    enough for every gap-1 hint (see the module doc); ``order`` itself
+    stays without."""
+    n = order.n
+    laned = _laned_copy(order, ((2 * n + 1) * sum(utilities) + 2 * n).bit_length() + 2)
     return [
         fp
-        for fp, neighbor in flip_neighbors(order)
+        for fp, neighbor in flip_neighbors(laned)
         if not is_representable(
             neighbor, hint=neighbor_witness_hint(utilities, fp)
         ).representable
     ]
-
-
-def friendly(order: ComparativeOrder, other: ComparativeOrder) -> bool:
-    """Whether two flip-related orders agree on representability."""
-    if order.n != other.n:
-        raise NotNeighborsError("orders live on different atom counts")
-    if all(neighbor != other for _, neighbor in flip_neighbors(order)):
-        raise NotNeighborsError("orders are not related by a single flip")
-    return is_representable(order).representable == is_representable(other).representable
 
 
 def facet_count(order: ComparativeOrder) -> int:

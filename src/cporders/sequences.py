@@ -9,7 +9,6 @@ Everything is arbitrary-precision; q_n is computed both from the closed form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 from .errors import VerificationError
@@ -51,16 +50,3 @@ def fibonacci(k: int) -> int:
     for _ in range(k - 1):
         a, b = b, a + b
     return a
-
-
-def fibonacci_nearest_phi(k: int) -> int:
-    """F_k recovered as the closest integer to phi^k / sqrt(5), evaluated in
-    high-precision decimal arithmetic."""
-    if k < 1:
-        raise ValueError(f"Fibonacci index must be >= 1, got {k}")
-    with localcontext() as ctx:
-        ctx.prec = max(50, k) + 25
-        root5 = Decimal(5).sqrt()
-        phi = (1 + root5) / 2
-        value = phi**k / root5
-        return int((value + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))

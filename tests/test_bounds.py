@@ -1,5 +1,6 @@
 """q_n, Fibonacci numbers, g/h counts, and the certified entropy bounds."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, floor
 
@@ -18,7 +19,20 @@ from cporders.bounds import (
 from cporders.errors import RangeError, VerificationError
 from cporders.flips import flippable_pairs
 from cporders.orders import maclagan_utilities, order_from_utilities
-from cporders.sequences import fibonacci, fibonacci_nearest_phi, q_value
+from cporders.sequences import fibonacci, q_value
+
+
+def fibonacci_nearest_phi(k: int) -> int:
+    """F_k recovered as the closest integer to phi^k / sqrt(5), evaluated in
+    high-precision decimal arithmetic."""
+    if k < 1:
+        raise ValueError(f"Fibonacci index must be >= 1, got {k}")
+    with localcontext() as ctx:
+        ctx.prec = max(50, k) + 25
+        root5 = Decimal(5).sqrt()
+        phi = (1 + root5) / 2
+        value = phi**k / root5
+        return int((value + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))
 
 
 class TestQValue:

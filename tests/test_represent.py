@@ -1,6 +1,7 @@
 """Exact representability decisions, witnesses, and trading transforms."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from cporders.census import enumerate_orders, relabel_order
 from cporders.errors import (
     LengthMismatchError, NotNeighborsError, ResourceError, TieError, VerificationError,
 )
-from cporders.flips import flip_neighbors, flippable_pairs
+from cporders.flips import flip, flip_neighbors, flippable_pairs
 from cporders.lp import Feasibility, solve_feasibility
 from cporders.orders import (
     ComparativeOrder,
@@ -20,6 +21,8 @@ from cporders.orders import (
     lexicographic_utilities,
     maclagan_utilities,
     order_from_line,
+    _laned_copy,
+    _lanes_rise,
     order_from_utilities,
     subset_sums,
 )
@@ -29,9 +32,9 @@ from cporders.represent import (
     check_certificate,
     check_trading_transform,
     find_trading_transform,
-    friendly,
     is_representable,
     neighbor_witness_hint,
+    unfriendly_flips,
 )
 
 
@@ -465,6 +468,113 @@ class TestCheckCertificate:
             Certificate.from_json(data, 3)
 
 
+def lane_free(order):
+    """``order`` rebuilt from its masks alone, so its checks take the list path."""
+    return ComparativeOrder(order.n, order.ranked)
+
+
+def boundary_vector(u, order, k, gap):
+    """``u`` with one entry moved so that the sums of ranked[k + 1] and
+    ranked[k] differ by exactly ``gap``."""
+    a, b = order.ranked[k], order.ranked[k + 1]
+    d = [(b >> j & 1) - (a >> j & 1) for j in range(order.n)]
+    i = next(j for j, x in enumerate(d) if x)
+    v = list(u)
+    rest = sum(x * y for x, y in zip(v, d)) - v[i] * d[i]
+    v[i] = (gap - rest) * d[i]
+    return v
+
+
+class TestRankLanes:
+    """``check_certificate`` on an order carrying rank lanes against the
+    same order rebuilt without them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_lane_branch_agrees_with_the_list_path(self, data, n3_census, n4_census, n5_census):
+        if data.draw(st.booleans(), label="census"):
+            census = data.draw(st.sampled_from([n3_census, n4_census, n5_census]), label="n")
+            order = data.draw(st.sampled_from(census.orders), label="order")
+            witness = is_representable(order).utilities
+        else:
+            n = data.draw(st.sampled_from(range(1, 10)), label="n")
+            top = data.draw(st.sampled_from([1 << 2 * n, 10**6]), label="top")
+            witness = data.draw(
+                st.lists(st.integers(1, top), min_size=n, max_size=n, unique=True), label="u"
+            )
+            try:
+                order = order_from_utilities(witness)
+            except TieError:
+                assume(False)
+        # lanes from well short of the witness's sums to well past them
+        scale = sum(witness).bit_length() if witness else 8
+        bits = max(1, scale + data.draw(st.integers(-6, 12), label="bits"))
+        laned = _laned_copy(order, bits)
+        # each flip hands the lanes on; the gap-1 hint, when there is one,
+        # is the next witness, else the old one (now broken at the flip)
+        for _ in range(data.draw(st.integers(0, 3), label="flips")):
+            pairs = [fp for fp in flippable_pairs(laned) if fp.a.mask]
+            if not pairs:
+                break
+            fp = data.draw(st.sampled_from(pairs), label="pair")
+            hint = neighbor_witness_hint(witness, fp) if witness else None
+            laned = flip(laned, fp)
+            witness = hint or witness
+        twin = lane_free(laned)
+        assert laned == twin and hash(laned) == hash(twin)
+        assert laned._lanes == _laned_copy(twin, bits)._lanes
+        n, width = order.n, laned._lanes[0]
+        w = list(witness or data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)))
+        kind = data.draw(
+            st.sampled_from(["witness", "near", "random", "boundary", "width", "length"]),
+            label="kind",
+        )
+        if kind == "witness":
+            v = w
+        elif kind == "near":
+            v = [x + data.draw(st.integers(-1, 1)) for x in w]
+        elif kind == "random":
+            v = data.draw(st.lists(st.integers(-3, 45), min_size=n, max_size=n))
+        elif kind == "boundary":
+            k = data.draw(st.integers(0, len(laned.ranked) - 2), label="k")
+            scale = data.draw(st.integers(1, 64), label="scale")
+            v = boundary_vector([scale * x for x in w], laned, k, data.draw(st.sampled_from([0, 1])))
+        elif kind == "width":
+            # a multiple of w topped up to sum to 2^(L-1) - 1, 2^(L-1) or one more
+            c, r = divmod((1 << width - 1) + data.draw(st.integers(-1, 1)), sum(w))
+            v = [c * x for x in w]
+            v[-1] += r
+            assert (_lanes_rise(laned, v) is None) == (sum(v) >= 1 << width - 1)
+        else:
+            v = data.draw(st.sampled_from([w[:-1], w + [w[-1] + 1]]))
+        cert = Certificate("representable", utilities=tuple(v))
+        assert check_certificate(cert, laned) == check_certificate(cert, twin)
+
+    @pytest.mark.parametrize(
+        "u, lanes",
+        [((18, 36, 53), False), ((18, 36, 73), True), ((18, 36, 74), None), ((18, 36, 75), None)],
+    )
+    def test_sums_from_half_the_lane_range_take_the_list_path(self, u, lanes):
+        order = order_from_utilities((1, 2, 4))
+        laned = _laned_copy(order, 8)
+        assert laned._lanes[0] == 8
+        assert _lanes_rise(laned, u) is lanes
+        cert = Certificate("representable", utilities=u)
+        assert check_certificate(cert, laned) == check_certificate(cert, order) == (lanes is not False)
+
+    def test_lanes_stay_private(self):
+        order = order_from_utilities(maclagan_utilities(5))
+        laned = _laned_copy(order, 20)
+        assert order._lanes is None and laned._lanes is not None
+        _, neighbor = next(flip_neighbors(laned))
+        assert neighbor._lanes is not None
+        for carrier in (laned, neighbor):
+            twin = lane_free(carrier)
+            assert carrier == twin and hash(carrier) == hash(twin)
+            back = pickle.loads(pickle.dumps(carrier))
+            assert back == twin and back._lanes is None
+
+
 class TestTradingTransforms:
     def test_balance_is_counting(self):
         t = TradingTransform(
@@ -577,6 +687,47 @@ class TestWitnessHint:
         order = order_from_utilities(utilities)
         fp = next(p for p in flippable_pairs(order) if p.a.mask != 0)
         assert neighbor_witness_hint(utilities, fp) is None
+
+
+def unfriendly_oracle(order, utilities):
+    """The route ``unfriendly_flips`` replaced: every hinted neighbour of a
+    lane-free order decided on its own."""
+    assert order._lanes is None
+    return [
+        fp
+        for fp, neighbor in flip_neighbors(order)
+        if not is_representable(neighbor, hint=neighbor_witness_hint(utilities, fp)).representable
+    ]
+
+
+class TestUnfriendlyFlips:
+    def test_census_orders(self, n3_census, n4_census, n5_census):
+        found = 0
+        for census in (n3_census, n4_census, n5_census):
+            for order, representable in zip(census.orders, census.representable):
+                if representable:
+                    utilities = is_representable(order).utilities
+                    got = unfriendly_flips(order, utilities)
+                    assert got == unfriendly_oracle(order, utilities)
+                    assert order._lanes is None
+                    found += bool(got)
+        assert found  # some flips really are unfriendly
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_constructions(self, n):
+        utilities = maclagan_utilities(n)
+        order = order_from_utilities(utilities)
+        assert unfriendly_flips(order, utilities) == unfriendly_oracle(order, utilities) == []
+        assert order._lanes is None
+
+
+def friendly(order: ComparativeOrder, other: ComparativeOrder) -> bool:
+    """Whether two flip-related orders agree on representability."""
+    if order.n != other.n:
+        raise NotNeighborsError("orders live on different atom counts")
+    if all(neighbor != other for _, neighbor in flip_neighbors(order)):
+        raise NotNeighborsError("orders are not related by a single flip")
+    return is_representable(order).representable == is_representable(other).representable
 
 
 class TestFriendly:
