@@ -103,18 +103,23 @@ def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
         )
     ranks = _translate_ranks(order, pair.a.mask, pair.b.mask)
     if ranks is None:
-        raise ValueError(f"pair ({pair.a}, {pair.b}) is not flippable for this order")
+        raise ValueError(
+            f"pair ({pair.a.to_text()}, {pair.b.to_text()}) is not flippable for this order"
+        )
     ranked = list(order.ranked)
     for k in ranks:
         ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
-    result = ComparativeOrder(order.n, ranked)
+    # swaps of ranks keep the input's permutation a permutation
+    result = ComparativeOrder._from_permutation(order.n, tuple(ranked))
     _pass_lanes(order, result, pair.a.mask, pair.b.mask, ranks)
     # capped at 5 atoms: validate_order makes n passes over the order, which
-    # at 12 atoms (~3-4 ms) costs ten times a flip plus the hint check of the
-    # neighbour it yields on rank lanes (~0.22 + ~0.1 ms), and
+    # at 12 atoms (~3-4 ms) costs over ten times a flip plus the hint check
+    # of the neighbour it yields on rank lanes (~0.15 + ~0.1 ms), and
     # verify-fibonacci flips every flippable pair
     if order.n <= 5 and not validate_order(result).ok:
-        raise VerificationError(f"flip over ({pair.a}, {pair.b}) gave an invalid order")
+        raise VerificationError(
+            f"flip over ({pair.a.to_text()}, {pair.b.to_text()}) gave an invalid order"
+        )
     return result
 
 

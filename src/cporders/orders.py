@@ -6,7 +6,10 @@ with many flippable pairs.
 An order is built from its ranked masks alone: the constructor checks, at
 builtin speed, that they are a permutation of all 2^n masks, and the
 inverse (rank by mask) is built on first read of ``position``, so an order
-that is only compared or hashed never pays for it.
+that is only compared or hashed never pays for it.  Flips and laned copies
+skip that check through the private ``_from_permutation``: their ranked
+masks come from an order that passed it, by swaps of ranks or unchanged,
+and so are a permutation already.
 
 An order is validated by single-atom monotonicity: union consistency holds
 iff S -> S|{c} is increasing for every atom c, and the first atom map that
@@ -24,7 +27,8 @@ hold n, then one subset per line, smallest first, each written by
 index per line; reading is a dict lookup per stripped line, and only a
 line the table lacks (``3,1``, ``1 , 2``, ``01`` or a malformed one) goes
 through ``_mask_from_text``, which defines what the format accepts and
-names the first bad line.
+names the first bad line.  Atoms and the atom count are ASCII decimal
+digits; a sign, an underscore or a non-ASCII digit is malformed.
 """
 
 from __future__ import annotations
@@ -105,6 +109,14 @@ def _mask_from_atoms(atoms: Iterable[int], n: int) -> int:
     return mask
 
 
+def _decimal(token: str) -> int:
+    """Value of a token of ASCII decimal digits, ``01`` included; ValueError
+    for what else ``int()`` takes, such as ``+1``, ``0_1`` or ``\u0661``."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def _mask_from_text(text: str, n: int) -> int:
     """Mask of a subset written as by :meth:`Subset.to_text`; the atoms
     must parse, then pass :func:`_mask_from_atoms`."""
@@ -112,7 +124,7 @@ def _mask_from_text(text: str, n: int) -> int:
     if text == "-":
         return 0
     try:
-        atoms = [int(tok) for tok in text.split(",")]
+        atoms = [_decimal(tok.strip()) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse subset {text!r}") from None
     return _mask_from_atoms(atoms, n)
@@ -157,7 +169,9 @@ class ComparativeOrder:
     something attached them; like ``position`` it takes no part in
     equality, hashing or pickling.  Construction only checks that
     ``ranked`` is a permutation of all masks; the semantic axioms are
-    checked by :func:`validate_order`.  Instances are immutable and
+    checked by :func:`validate_order`.  ``_from_permutation`` skips that
+    check for flips and laned copies, whose ranked masks come from a checked
+    order by swaps of ranks or unchanged.  Instances are immutable and
     hashable.
     """
 
@@ -170,10 +184,20 @@ class ComparativeOrder:
         # equal length and equal sets: no mask repeats and none is missing
         if len(ranked) != full or _all_masks(n) != set(ranked):
             raise ValueError(f"ranked must be a permutation of 0..{full - 1}")
+        self._set_slots(n, ranked)
+
+    @classmethod
+    def _from_permutation(cls, n: int, ranked: tuple[int, ...]) -> "ComparativeOrder":
+        """The order of ``ranked``, a tuple known to be a permutation of all
+        2^n masks, built without checking that again."""
+        return cls.__new__(cls)._set_slots(n, ranked)
+
+    def _set_slots(self, n: int, ranked: tuple[int, ...]) -> "ComparativeOrder":
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ranked", ranked)
         object.__setattr__(self, "_position", None)
         object.__setattr__(self, "_lanes", None)
+        return self
 
     @property
     def position(self) -> tuple[int, ...]:
@@ -238,7 +262,7 @@ def _laned_copy(order: ComparativeOrder, bits: int) -> ComparativeOrder:
     ``order``'s position table when that is built."""
     step = -(-bits // 8)
     width, ranked = 8 * step, order.ranked
-    copy = ComparativeOrder(order.n, ranked)
+    copy = ComparativeOrder._from_permutation(order.n, ranked)
     object.__setattr__(copy, "_position", order._position)
     buf = bytearray(len(ranked) * step)
     lanes = []
@@ -436,7 +460,7 @@ def order_from_lines(lines: Sequence[str]) -> ComparativeOrder:
     if not lines:
         raise ValueError("empty order description")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the atom count, got {lines[0]!r}") from None
     _check_n(n)

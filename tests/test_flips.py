@@ -1,5 +1,6 @@
 """Critical pairs, flippability, the flip operation, and facet counting."""
 
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from cporders.orders import (
     lexicographic_utilities,
     maclagan_utilities,
     ValidationReport,
+    _laned_copy,
     order_from_utilities,
     validate_order,
 )
@@ -128,15 +130,17 @@ class TestFlip:
         order = order_from_utilities((2, 4, 5, 8, 16))
         pair = next(p for p in critical_pairs(order) if p.a.mask and not is_flippable(order, p))
         assert (pair.a.to_text(), pair.b.to_text()) == ("1", "2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             flip(order, pair)
+        assert str(excinfo.value) == "pair (1, 2) is not flippable for this order"
 
     def test_invalid_flip_result_raises(self, monkeypatch, lex3):
         # the self-check is a raise, so it also holds under python -O
         monkeypatch.setattr("cporders.flips.validate_order", lambda order: ValidationReport(False))
         fp = next(p for p in flippable_pairs(lex3) if p.a.to_text() == "1")
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError) as excinfo:
             flip(lex3, fp)
+        assert str(excinfo.value) == "flip over (1, 2) gave an invalid order"
 
     def test_changed_ranks_exactly(self, lex3):
         fp = next(p for p in flippable_pairs(lex3) if p.a.to_text() == "1")
@@ -180,6 +184,60 @@ def test_flip_keeps_validity_and_is_an_involution(entries, choices):
         )
         assert flip(flipped, image) == order
         order = flipped
+
+
+class TestTranspositionBuiltNeighbours:
+    """``flip`` builds its result by swaps of ranks without the public
+    constructor's permutation check; the result must be the order that
+    check accepts, built here from the definition: each A|D trades places
+    with B|D, D disjoint from A|B."""
+
+    @staticmethod
+    def assert_flips(order):
+        n, full = order.n, 1 << order.n
+        laned = _laned_copy(order, 3 * n + 8)
+        for fp in flippable_pairs(order):
+            if fp.a.mask == 0:
+                continue
+            a, b = fp.a.mask, fp.b.mask
+            swapped = [m ^ a ^ b if m & (a | b) in (a, b) else m for m in order.ranked]
+            result = flip(order, fp)
+            expected = ComparativeOrder(n, swapped)
+            assert result == expected and hash(result) == hash(expected)
+            assert type(result.ranked) is tuple
+            assert pickle.loads(pickle.dumps(result)) == result
+            inverse = dict(zip(swapped, range(full)))
+            assert result.position == tuple(inverse[m] for m in range(full))
+            assert flip(result, CriticalPair(fp.b, fp.a, fp.rank_a)) == order
+            carried = flip(laned, fp)
+            assert carried == result
+            assert carried._lanes == _laned_copy(result, 3 * n + 8)._lanes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+        )
+    )
+    def test_random_utility_orders(self, entries):
+        try:
+            order = order_from_utilities(entries)
+        except TieError:
+            order = order_from_utilities(lexicographic_utilities(len(entries)))
+        self.assert_flips(order)
+
+    def test_census_orders(self, n3_census, n4_census, n5_census):
+        censuses = [enumerate_orders(1), enumerate_orders(2), n3_census, n4_census, n5_census]
+        for census in censuses:
+            for order in census.orders:
+                self.assert_flips(order)
+
+    def test_public_constructor_still_checks(self, lex3):
+        ranked = list(lex3.ranked)
+        with pytest.raises(ValueError, match="permutation"):
+            ComparativeOrder(3, ranked[:-1] + [ranked[0]])  # a mask repeated
+        with pytest.raises(ValueError, match="permutation"):
+            ComparativeOrder(3, ranked[:-1])  # a mask missing
 
 
 def neighbors(order):

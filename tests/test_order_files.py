@@ -5,8 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,10 +76,9 @@ def per_line_oracle(lines):
     lines = [ln.strip() for ln in lines if ln.strip()]
     if not lines:
         raise ValueError("empty order description")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the atom count, got {lines[0]!r}") from None
+    if re.fullmatch("[0-9]+", lines[0]) is None:
+        raise ValueError(f"first line must be the atom count, got {lines[0]!r}")
+    n = int(lines[0])
     _check_n(n)
     body = lines[1:]
     if len(body) != 1 << n:
@@ -88,11 +89,35 @@ def per_line_oracle(lines):
     return ComparativeOrder(n, ranked)
 
 
-# str.strip removes the no-break space "\u00a0", and int() reads "\u0661"
-# (Arabic-Indic digit one) as 1
+# str.strip removes the no-break space "\u00a0"; atoms and the atom count
+# are ASCII decimal digits, so "01" and "03" read as 1 and 3 while "+1",
+# "0_1" and "\u0661" (Arabic-Indic digit one), which int() would take, are
+# malformed
 PADS = ["", " ", "\t", "  ", "\u00a0"]
-JUNK = ["x", "", ",", "1,", ",1", "1,,2", "1.0", "1e0", "0x1", "--", "-1", "+1", "01", "\u0661", "1 2"]
-HEADERS = ["x", "", "0", "17", "-1", "+3", "03", "4,", "1.5", "-"]
+JUNK = [
+    "x", "", ",", "1,", ",1", "1,,2", "1.0", "1e0", "0x1", "--", "-1", "+1", "01", "0_1",
+    "\u0661", "1 2",
+]
+HEADERS = ["x", "", "0", "17", "-1", "+3", "03", "0_3", "\u0663", "4,", "1.5", "-"]
+
+
+def test_only_ascii_digits_are_atoms_and_counts(tmp_path):
+    lines = order_to_lines(order_from_utilities((1, 2, 4)))
+    # leading zeros stay valid
+    assert order_from_lines(["03", "-", "01"] + lines[3:]) == order_from_lines(lines)
+    for token in ["+1", "0_1", "\u0661"]:
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse subset {token!r}")):
+            order_from_lines(lines[:2] + [token] + lines[3:])
+    for header in ["+3", "\u0663"]:
+        message = f"first line must be the atom count, got {header!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            order_from_lines([header] + lines[1:])
+        path = tmp_path / "order.txt"
+        path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["represent", "--order-file", str(path)]) == 1
+        assert message in err.getvalue()
 
 
 def _body_index(draw, lines):
