@@ -78,7 +78,6 @@ from .represent import (
     TradingTransform,
     check_certificate,
     check_trading_transform,
-    facet_count,
     find_trading_transform,
     is_representable,
     neighbor_witness_hint,

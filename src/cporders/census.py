@@ -12,6 +12,16 @@ appended only when it is that next subset for each of its atoms.  Every
 prefix of a valid order obeys the rule, and a full sequence that obeys it
 is union consistent, so a prefix is cut as soon as its placed subsets
 break the axiom; the n = 6 census (169,444 orders) completes.
+
+Census files and flag checkpoints hold one JSON record per line, written
+by ``_render_record`` and read by ``_records``: the order line, with
+``representable`` and ``irr`` each on every record or on none.
+``write_census`` refuses a census whose flags or counts are partly None,
+so what it writes reads back.  ``read_census`` also wants one n, orders
+that pass ``validate_order`` with ascending singletons, no repeat, and no
+flip that leaves the file.  A checkpoint is a census-order prefix of the
+census: record k holds order k with both flags.  A record that breaks a
+rule raises ValueError naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -21,13 +31,15 @@ import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Optional
 
 from .cones import cone_from_order, irreducible_elements
 from .errors import ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
-from .orders import ComparativeOrder, order_from_line, order_to_line, validate_order
+from .orders import (
+    ComparativeOrder, order_from_line, order_to_line, subset_sums, validate_order,
+)
 from .represent import is_representable
 
 
@@ -46,14 +58,13 @@ class OrderCensus:
     representable: Optional[list[bool]] = None
     irr_counts: Optional[list[int]] = None
     edges: Optional[list[list[int]]] = None
-    complete: bool = True
 
 
 def _generate_orders(n: int, deadline: Optional[float]) -> list[ComparativeOrder]:
     """Depth-first generation of the orders of P_n*, in lexicographic order
     of the ranked sequence.  Each returned order has passed
     ``validate_order``; on an exhausted ``deadline`` the ResourceError's
-    ``partial`` holds the validated orders found so far.
+    ``partial`` is the census of the validated orders found so far.
 
     Only the bottom half of each order is searched: the union-consistency
     axiom forces rank(S) + rank(complement of S) = 2^n - 1, so every
@@ -98,7 +109,10 @@ def _generate_orders(n: int, deadline: Optional[float]) -> list[ComparativeOrder
             return
         counter += 1
         if deadline is not None and counter % 64 == 0 and time.monotonic() > deadline:
-            raise ResourceError("enumeration budget exhausted", partial=results)
+            raise ResourceError(
+                f"enumeration of n={n} exceeded its budget after {len(results)} orders",
+                partial=OrderCensus(n, results),
+            )
         # the next subset holding atom c, for each atom that has one
         wanted = [avoid[c][took[c]] | bits[c] for c in range(n) if took[c] < len(avoid[c])]
         for x in sorted(set(wanted)):
@@ -139,20 +153,13 @@ def enumerate_orders(
 
     ``budget`` is wall-clock seconds for the whole call; on exhaustion a
     ResourceError is raised carrying the partial census built so far.
-    ``checkpoint_path`` persists per-order flags as they are computed, so an
-    interrupted run can resume without redoing representability work.
+    ``checkpoint_path`` keeps per-order flags as they are computed, a
+    census-order prefix that an interrupted run resumes from.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"census enumeration supports 1 <= n <= 6, got {n}")
     deadline = time.monotonic() + budget if budget is not None else None
-    try:
-        orders = _generate_orders(n, deadline)
-    except ResourceError as exc:
-        raise ResourceError(
-            f"enumeration of n={n} exceeded its budget after {len(exc.partial)} orders",
-            partial=OrderCensus(n, exc.partial, complete=False),
-        ) from None
-    census = OrderCensus(n, orders)
+    census = OrderCensus(n, _generate_orders(n, deadline))
     if with_flags:
         _annotate_flags(census, deadline, checkpoint_path, threads=threads)
     if with_edges:
@@ -180,14 +187,26 @@ def worker_map(fn, items, threads: int, chunksize: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _irreducible_count(order: ComparativeOrder) -> int:
+    return len(irreducible_elements(cone_from_order(order)))
+
+
 def _flag_worker(order: ComparativeOrder) -> tuple[bool, int]:
-    return is_representable(order).representable, len(irreducible_elements(cone_from_order(order)))
+    return is_representable(order).representable, _irreducible_count(order)
 
 
-def _parse_record(text: str, where: str) -> dict:
-    """One census or checkpoint record: a JSON object with a string
-    ``order``, a bool ``representable`` and an int ``irr`` >= 0 where these
-    are present.  Anything else raises ValueError naming ``where``."""
+def _render_record(line: str, representable: Optional[bool], irr: Optional[int]) -> str:
+    """One census or checkpoint record, newline-terminated: the order line
+    and whichever of the flag and the count is not None."""
+    record = {"order": line, "representable": representable, "irr": irr}
+    return json.dumps({k: v for k, v in record.items() if v is not None}, sort_keys=True) + "\n"
+
+
+def _parse_record(text, where: str) -> tuple[str, Optional[bool], Optional[int]]:
+    """(order line, representable, irr) of a census or checkpoint record: a
+    JSON object with a string ``order`` and, where present (else None), a
+    bool ``representable`` and an int ``irr`` >= 0; else ValueError naming
+    ``where``."""
     try:
         record = json.loads(text)
     except ValueError as exc:
@@ -199,14 +218,30 @@ def _parse_record(text: str, where: str) -> dict:
     irr = record.get("irr", 0)
     if not isinstance(irr, int) or isinstance(irr, bool) or irr < 0:
         raise ValueError(f'{where}: "irr" must be an integer >= 0')
-    return record
+    return record["order"], record.get("representable"), record.get("irr")
 
 
-def _read_checkpoint(path, n: int) -> dict[str, tuple[bool, int]]:
-    """Flags recorded in a checkpoint file, keyed by order line; every
-    record must hold both flags and name ``n`` atoms in its order line.
-    Text after the last newline is a record torn by an interrupted write:
-    it is cut from the file, so the next append starts on a fresh line."""
+def _records(lines, path):
+    """(line number, order line, representable, irr) for each nonblank line
+    of the file at ``path``, through ``_parse_record``; a record whose flag
+    or count is present where the first's is not, or absent where it is,
+    raises ValueError naming ``path:line``."""
+    shape = None
+    for number, raw in enumerate(lines, 1):
+        if raw.strip():
+            line, rep, irr = _parse_record(raw, f"{path}:{number}")
+            shape = shape or (rep is None, irr is None)
+            if shape != (rep is None, irr is None):
+                raise ValueError(f"{path}:{number}: flags and counts must be on all or no records")
+            yield number, line, rep, irr
+
+
+def _read_checkpoint(path, census) -> int:
+    """Fill the flags of census orders 0..k-1 from the k records of the
+    checkpoint at ``path`` and return k (0 without a file); record k must
+    hold both flags and census order k's line.  Text after the last
+    newline, a record torn by an interrupted write, is cut from the file,
+    so the next append starts on a fresh line."""
     try:
         with open(path, "rb+") as fh:
             data = fh.read()
@@ -214,98 +249,79 @@ def _read_checkpoint(path, n: int) -> dict[str, tuple[bool, int]]:
             if complete < len(data):
                 fh.truncate(complete)
     except FileNotFoundError:
-        return {}
-    known = {}
-    for number, raw in enumerate(data[:complete].decode("utf-8").splitlines(), 1):
-        rec = _parse_record(raw, f"{path}:{number}")
-        if "representable" not in rec or "irr" not in rec:
-            raise ValueError(f"{path}:{number}: a checkpoint record needs both flags")
-        head = rec["order"].partition(";")[0]
+        return 0
+    n, orders, k = census.n, census.orders, 0
+    for number, line, rep, irr in _records(data[:complete].splitlines(), path):
+        where = f"{path}:{number}"
+        head = line.partition(";")[0]
         if head != str(n):
-            raise ValueError(
-                f"{path}:{number}: checkpoint record has n={head}, this census has n={n}"
-            )
-        known[rec["order"]] = (rec["representable"], rec["irr"])
-    return known
+            raise ValueError(f"{where}: checkpoint record has n={head}, this census has n={n}")
+        if rep is None or irr is None:
+            raise ValueError(f"{where}: a checkpoint record needs both flags")
+        if k == len(orders):
+            raise ValueError(f"{where}: checkpoint has more records than the {k} census orders")
+        if line != order_to_line(orders[k]):
+            raise ValueError(f"{where}: checkpoint record {k + 1} is not census order {k + 1}")
+        census.representable[k], census.irr_counts[k] = rep, irr
+        k += 1
+    return k
 
 
 def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None:
     """Fill the flags and irreducible counts in place, so an exhausted budget
-    leaves the partial flags behind.  Order lines, the checkpoint's keys, are
-    built only when there is a checkpoint."""
+    leaves the partial flags behind.  A checkpoint (records as in the module
+    doc) is a census-order prefix: orders 0..k-1 take its k records' flags,
+    orders k onward are flagged in order (``worker_map`` keeps it) and
+    appended one by one, each line built only when checked or appended."""
     total = len(census.orders)
-    representable = census.representable = [None] * total
-    irr_counts = census.irr_counts = [None] * total
-    if checkpoint_path is not None:
-        known = _read_checkpoint(checkpoint_path, census.n)
-        lines = [order_to_line(o) for o in census.orders]
-        for i, line in enumerate(lines):
-            if line in known:
-                representable[i], irr_counts[i] = known[line]
-    pending = [i for i in range(total) if representable[i] is None]
-
+    census.representable, census.irr_counts = [None] * total, [None] * total
+    done = _read_checkpoint(checkpoint_path, census) if checkpoint_path else 0
     opened = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext()
-    todo = (census.orders[i] for i in pending)
-    done = total - len(pending)
+    todo = census.orders[done:]
     with opened as sink, worker_map(_flag_worker, todo, threads, chunksize=8) as flagged:
-        for i, (rep, irr) in zip(pending, flagged):
-            representable[i], irr_counts[i] = rep, irr
-            done += 1
+        for i, (rep, irr) in enumerate(flagged, done):
+            census.representable[i], census.irr_counts[i] = rep, irr
             if sink is not None:
-                record = {"order": lines[i], "representable": rep, "irr": irr}
-                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                sink.write(_render_record(order_to_line(census.orders[i]), rep, irr))
                 sink.flush()
-            if deadline is not None and done < total and time.monotonic() > deadline:
-                census.complete = False
+            if deadline is not None and i + 1 < total and time.monotonic() > deadline:
                 raise ResourceError(
-                    f"flag budget exhausted after {done} of {total} orders",
-                    partial=census,
+                    f"flag budget exhausted after {i + 1} of {total} orders", partial=census
                 )
 
 
 def singleton_relabeling(order: ComparativeOrder) -> tuple[int, ...]:
     """Permutation sending atoms to 1..n by ascending singleton rank;
     perm[old_atom - 1] = new_atom."""
-    n = order.n
-    by_rank = sorted(range(1, n + 1), key=lambda i: order.position[1 << (i - 1)])
-    perm = [0] * n
-    for new_label, old_atom in enumerate(by_rank, start=1):
-        perm[old_atom - 1] = new_label
-    return tuple(perm)
+    by_rank = sorted(range(order.n), key=lambda i: order.position[1 << i])
+    return tuple(by_rank.index(i) + 1 for i in range(order.n))
 
 
 def relabel_order(order: ComparativeOrder, perm: tuple[int, ...]) -> ComparativeOrder:
-    n = order.n
-    shift = [perm[i] - 1 for i in range(n)]
-
-    def apply(mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << shift[i]
-        return out
-
-    return ComparativeOrder(n, [apply(mask) for mask in order.ranked])
+    """``order`` with atom i renamed perm[i - 1].  Renaming is additive over
+    atoms, so the image of every mask is a subset sum of the atoms' images."""
+    if len(perm) != order.n:
+        raise ValueError(f"{order.n} atoms need {order.n} labels, got {len(perm)}")
+    image = subset_sums([1 << (p - 1) for p in perm])
+    return ComparativeOrder(order.n, [image[mask] for mask in order.ranked])
 
 
 def _annotate_edges(census) -> None:
+    """Fill ``census.edges`` row by row.  A flip whose order is not in the
+    census, as it is or relabeled so its singletons ascend, raises
+    VerificationError with the rows before it in place."""
     index = {o.ranked: i for i, o in enumerate(census.orders)}
-    edges: list[list[int]] = []
-    identity = tuple(range(1, census.n + 1))
+    edges = census.edges = []
     for order in census.orders:
         row: list[int] = []
         for _, neighbor in flip_neighbors(order):
             j = index.get(neighbor.ranked)
             if j is None:
-                perm = singleton_relabeling(neighbor)
-                if perm == identity:
-                    raise VerificationError("flip left the census and has no singleton relabeling")
-                j = index.get(relabel_order(neighbor, perm).ranked)
-                if j is None:
-                    raise VerificationError("flip left the census even after relabeling")
+                j = index.get(relabel_order(neighbor, singleton_relabeling(neighbor)).ranked)
+            if j is None:
+                raise VerificationError(f"a flip of census order {len(edges)} left the census")
             row.append(j)
         edges.append(row)
-    census.edges = edges
 
 
 def brute_force_oracle(n: int) -> OrderCensus:
@@ -322,8 +338,7 @@ def brute_force_oracle(n: int) -> OrderCensus:
         order = ComparativeOrder(n, ranked)
         if not validate_order(order).ok:
             continue
-        singles = [order.position[1 << i] for i in range(n)]
-        if singles != sorted(singles):
+        if singleton_relabeling(order) != tuple(range(1, n + 1)):
             continue
         orders.append(order)
     return OrderCensus(n, orders)
@@ -427,48 +442,47 @@ def census_stats(census: OrderCensus) -> CensusStats:
 
 
 def write_census(census: OrderCensus, path) -> None:
+    """Write one record per order; a census whose flags or counts are
+    partly None raises ValueError before ``path`` is opened."""
+    columns = (census.representable, census.irr_counts)
+    if any(c is not None and (None in c or len(c) != len(census.orders)) for c in columns):
+        raise ValueError("census flags and irreducible counts must be complete or absent")
     with open(path, "w", encoding="utf-8") as fh:
-        for i, order in enumerate(census.orders):
-            record = {"order": order_to_line(order)}
-            if census.representable is not None:
-                record["representable"] = census.representable[i]
-            if census.irr_counts is not None:
-                record["irr"] = census.irr_counts[i]
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for order, rep, irr in zip(census.orders, *(c or repeat(None) for c in columns)):
+            fh.write(_render_record(order_to_line(order), rep, irr))
 
 
 def read_census(path) -> OrderCensus:
-    """The census in an NDJSON file; a malformed record raises ValueError
-    naming ``path:line``."""
-    orders = []
-    rep: list = []
-    irr: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_record(line, f"{path}:{number}")
+    """The census in an NDJSON file, each record checked once against the
+    read contract (see the module doc)."""
+    orders, rep, irr = [], [], []
+    line_of: dict[tuple[int, ...], int] = {}  # line number by order, in file order
+    with open(path, "rb") as fh:
+        for number, line, flag, count in _records(fh, path):
             try:
-                order = order_from_line(record["order"])
+                order = order_from_line(line)
+                n = orders[0].n if orders else order.n
+                if order.n != n:
+                    raise ValueError(f"census record has n={order.n}, earlier records have n={n}")
+                report = validate_order(order)
+                if not report.ok:
+                    raise ValueError(report.message)
+                if singleton_relabeling(order) != tuple(range(1, n + 1)):
+                    raise ValueError("the singletons are not in ascending order")
+                first = line_of.setdefault(order.ranked, number)
+                if first != number:
+                    raise ValueError(f"the order of line {first} repeats")
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
-            if orders and order.n != orders[0].n:
-                raise ValueError(
-                    f"{path}:{number}: census record has n={order.n}, "
-                    f"earlier records have n={orders[0].n}"
-                )
             orders.append(order)
-            rep.append(record.get("representable"))
-            irr.append(record.get("irr"))
+            rep.append(flag)
+            irr.append(count)
     if not orders:
         raise ValueError(f"no census records found in {path}")
-    n = orders[0].n
-    census = OrderCensus(
-        n,
-        orders,
-        representable=rep if any(v is not None for v in rep) else None,
-        irr_counts=irr if any(v is not None for v in irr) else None,
-    )
-    _annotate_edges(census)
+    census = OrderCensus(n, orders, *(col if col[0] is not None else None for col in (rep, irr)))
+    try:
+        _annotate_edges(census)
+    except VerificationError:
+        where = f"{path}:{list(line_of.values())[len(census.edges)]}"
+        raise ValueError(f"{where}: census file is incomplete: a flip is missing") from None
     return census

@@ -29,6 +29,7 @@ from .census import census_stats, enumerate_orders, read_census, write_census
 from .errors import CporderError, ResourceError, VerificationError
 from .flips import flip_neighbors, flippable_pairs
 from .orders import (
+    _decimal,
     lexicographic_utilities,
     maclagan_utilities,
     order_from_utilities,
@@ -62,7 +63,7 @@ def cmd_construct(args) -> int:
     elif args.maclagan is not None:
         utilities = maclagan_utilities(args.maclagan)
     else:
-        utilities = tuple(int(tok) for tok in args.utilities.split(","))
+        utilities = tuple(_decimal(tok.strip()) for tok in args.utilities.split(","))
     order = order_from_utilities(utilities)
     if args.out:
         write_order(order, args.out)
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="write NDJSON census here")
     p.add_argument("--budget", type=float, help="wall-clock seconds")
-    p.add_argument("--checkpoint", help="flag checkpoint file (resumable)")
+    p.add_argument("--checkpoint", help="resumable flag file: a census-order prefix of the census")
     p.add_argument("--no-flags", action="store_true")
     common(p, threads=True)
     p.set_defaults(func=cmd_enumerate)

@@ -19,7 +19,7 @@ Atoms are labelled 1..n; atom i corresponds to bit i-1 of a mask.  Everything
 is exact integer arithmetic; n is capped at 16 so a subset always fits a
 machine word, while utilities themselves may be arbitrarily large.
 
-Order files (and the ';'-joined lines of census files and checkpoint keys)
+Order files (and the ';'-joined lines of census and checkpoint records)
 hold n, then one subset per line, smallest first, each written by
 :meth:`Subset.to_text`.  Text goes through two tables cached per n:
 ``_subset_texts(n)`` holds every mask's text, built by doubling as

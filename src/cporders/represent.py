@@ -49,9 +49,7 @@ from operator import lt
 from typing import Optional, Sequence
 
 from .cones import cone_from_order
-from .errors import (
-    CporderError, LengthMismatchError, NotRepresentableError, ResourceError, VerificationError,
-)
+from .errors import CporderError, LengthMismatchError, ResourceError, VerificationError
 from .flips import CriticalPair, flip_neighbors, flippable_pairs
 from .lp import solve_feasibility
 from .orders import ComparativeOrder, Subset, _laned_copy, _lanes_rise, subset_sums
@@ -328,13 +326,3 @@ def unfriendly_flips(
             neighbor, hint=neighbor_witness_hint(utilities, fp)
         ).representable
     ]
-
-
-def facet_count(order: ComparativeOrder) -> int:
-    """Number of facets of the order's region: flippable pairs minus
-    unfriendly flips.  The (empty set, first subset) pair, when flippable,
-    is a facet of its own: it has no flip, so it is never unfriendly."""
-    base = is_representable(order)
-    if not base.representable:
-        raise NotRepresentableError("facet counting requires a representable order")
-    return len(flippable_pairs(order)) - len(unfriendly_flips(order, base.utilities))

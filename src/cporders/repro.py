@@ -29,6 +29,7 @@ from .bounds import (
 )
 from .census import (
     OrderCensus,
+    _irreducible_count,
     brute_force_oracle,
     census_stats,
     enumerate_orders,
@@ -204,10 +205,6 @@ def criterion_5_census_5(ctx: ReproContext) -> str:
         f"{stats.order_count} orders, irr histogram {stats.irr_histogram}, "
         f"M(5)=8, {len(nonrep)} nonrepresentable, transform length {transform.length}"
     )
-
-
-def _irreducible_count(order: ComparativeOrder) -> int:
-    return len(irreducible_elements(cone_from_order(order)))
 
 
 def _irreducible_counts(

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from cporders import repro
+from cporders import census, repro
 from cporders.errors import VerificationError
 
 
@@ -96,9 +96,10 @@ def test_criterion_06_decides_M6_on_the_max_flip_orders(n5_census, monkeypatch):
     # nine 8-flip orders (all friendly) play the 13-flip orders
     bare = repro.OrderCensus(5, n5_census.orders)
     monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
-    real_irreducibles = repro.irreducible_elements
+    # the cone stage counts through census._irreducible_count
+    real_irreducibles = census.irreducible_elements
     monkeypatch.setattr(
-        repro, "irreducible_elements", lambda cone: [*real_irreducibles(cone), *range(5)]
+        census, "irreducible_elements", lambda cone: [*real_irreducibles(cone), *range(5)]
     )
     decided = []
     real_decide = repro.is_representable

@@ -1,11 +1,14 @@
 """Census enumeration, the permutation-filter oracle, edges, stats, and I/O."""
 
 import hashlib
+import random
+import time
 
 import pytest
 
 from cporders.census import (
     OrderCensus,
+    _annotate_flags,
     brute_force_oracle,
     census_stats,
     enumerate_orders,
@@ -18,8 +21,15 @@ from cporders.census import (
 )
 from cporders.errors import ResourceError
 from cporders.flips import flip, flip_neighbors, flippable_pairs
-from cporders.orders import lexicographic_utilities, order_from_utilities, validate_order
-from cporders.represent import facet_count, is_representable
+from cporders.orders import (
+    ComparativeOrder,
+    lexicographic_utilities,
+    order_from_utilities,
+    order_to_line,
+    validate_order,
+)
+from cporders.repro import random_utility_order
+from cporders.represent import is_representable
 
 
 class TestOracleEquivalence:
@@ -108,6 +118,29 @@ class TestRelabeling:
         inverse = tuple(back[i] for i in range(1, 5))
         assert relabel_order(relabel_order(order, perm), inverse) == order
 
+    def test_matches_per_bit_definition(self):
+        # atom i + 1 goes to perm[i], one bit at a time
+        def per_bit(order, perm):
+            ranked = []
+            for mask in order.ranked:
+                image = 0
+                for i in range(order.n):
+                    if mask >> i & 1:
+                        image |= 1 << (perm[i] - 1)
+                ranked.append(image)
+            return ComparativeOrder(order.n, ranked)
+
+        rng = random.Random(20261020)
+        for n in range(1, 11):
+            order = random_utility_order(n, rng)
+            for _ in range(3):
+                perm = tuple(rng.sample(range(1, n + 1), n))
+                assert relabel_order(order, perm) == per_bit(order, perm)
+
+    def test_label_count_must_match(self, n4_census):
+        with pytest.raises(ValueError, match="4 atoms need 4 labels, got 3"):
+            relabel_order(n4_census.orders[0], (1, 2, 3))
+
 
 class TestStats:
     def test_n3(self, n3_census):
@@ -139,7 +172,7 @@ class TestStats:
                 assert f <= len(flippable_pairs(order))
 
     @pytest.mark.parametrize("n,step", [(4, 1), (5, 10)])
-    def test_census_facets_match_exact_count(self, n, step, request):
+    def test_census_facets_match_exact_count(self, n, step, request, facet_count):
         census = request.getfixturevalue(f"n{n}_census")
         facets = facet_counts_from_census(census)
         rows = [i for i, f in enumerate(facets) if f is not None][::step]
@@ -171,8 +204,9 @@ class TestBudget:
     def test_resource_error_carries_partial(self):
         with pytest.raises(ResourceError) as exc:
             enumerate_orders(6, with_flags=False, with_edges=False, budget=0.3)
-        assert exc.value.partial is not None
-        assert not exc.value.partial.complete
+        partial = exc.value.partial
+        assert partial.n == 6 and len(partial.orders) < 169444
+        assert all(validate_order(order).ok for order in partial.orders)
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -249,6 +283,123 @@ class TestPersistence:
         assert second.representable == first.representable
         assert second.irr_counts == first.irr_counts
         assert check.read_text() == text  # torn record dropped, then rewritten
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_checkpoint_is_the_census_file_prefix(self, n4_census, tmp_path, threads):
+        # a finished checkpoint holds the records write_census writes, also
+        # when the flags come through the worker pool
+        check, out = tmp_path / "flags4.ndjson", tmp_path / "census4.ndjson"
+        enumerate_orders(4, with_edges=False, checkpoint_path=check, threads=threads)
+        write_census(n4_census, out)
+        assert check.read_bytes() == out.read_bytes()
+        lines = check.read_text().splitlines(keepends=True)
+        check.write_text("".join(lines[:6]))
+        enumerate_orders(4, with_edges=False, checkpoint_path=check, threads=threads)
+        assert check.read_bytes() == out.read_bytes()
+
+    def test_checkpoint_record_out_of_place(self, tmp_path):
+        check = tmp_path / "flags4.ndjson"
+        enumerate_orders(4, with_edges=False, checkpoint_path=check)
+        lines = check.read_text().splitlines(keepends=True)
+        check.write_text("".join([lines[1], lines[0]] + lines[2:]))
+        written = check.read_text()
+        with pytest.raises(ValueError, match="flags4.ndjson:1: checkpoint record 1 is not census"):
+            enumerate_orders(4, with_edges=False, checkpoint_path=check)
+        assert check.read_text() == written
+
+    def test_checkpoint_with_too_many_records(self, tmp_path):
+        check = tmp_path / "flags3.ndjson"
+        enumerate_orders(3, checkpoint_path=check)
+        lines = check.read_text().splitlines(keepends=True)
+        check.write_text("".join(lines + lines[-1:]))
+        with pytest.raises(ValueError, match="flags3.ndjson:3: checkpoint has more records than"):
+            enumerate_orders(3, checkpoint_path=check)
+
+    def test_order_lines_built_one_at_a_time(self, monkeypatch, tmp_path):
+        # a resumed run checks the prefix, then builds each appended line
+        # right after its order is flagged, never all lines up front
+        import cporders.census as census_module
+
+        check = tmp_path / "flags4.ndjson"
+        enumerate_orders(4, with_edges=False, checkpoint_path=check)
+        lines = check.read_text().splitlines(keepends=True)
+        check.write_text("".join(lines[:5]))
+        events = []
+        to_line, flag = census_module.order_to_line, census_module._flag_worker
+        monkeypatch.setattr(
+            census_module, "order_to_line", lambda o: events.append("line") or to_line(o)
+        )
+        monkeypatch.setattr(
+            census_module, "_flag_worker", lambda o: events.append("flag") or flag(o)
+        )
+        enumerate_orders(4, with_edges=False, checkpoint_path=check)
+        assert events == ["line"] * 5 + ["flag", "line"] * 9
+        assert check.read_text() == "".join(lines)
+
+
+class TestCensusContract:
+    """``read_census`` checks every record once; ``write_census`` writes only
+    what reads back."""
+
+    @pytest.fixture()
+    def census4(self, n4_census, tmp_path):
+        path = tmp_path / "census4.ndjson"
+        write_census(n4_census, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def record(order):
+        return f'{{"irr": 5, "order": "{order_to_line(order)}", "representable": true}}\n'
+
+    def test_repeated_record(self, census4):
+        path, lines = census4
+        path.write_text("".join(lines + lines[3:4]))
+        with pytest.raises(ValueError, match="census4.ndjson:15: the order of line 4 repeats"):
+            read_census(path)
+
+    def test_order_breaking_the_axioms(self, census4):
+        path, lines = census4
+        ranked = list(order_from_utilities(lexicographic_utilities(4)).ranked)
+        ranked[5], ranked[6] = ranked[6], ranked[5]  # {2,3} before {1,3}
+        path.write_text("".join([self.record(ComparativeOrder(4, ranked))] + lines[1:]))
+        with pytest.raises(ValueError, match="census4.ndjson:1: union consistency fails"):
+            read_census(path)
+
+    def test_singletons_out_of_order(self, census4):
+        path, lines = census4
+        swapped = relabel_order(order_from_utilities(lexicographic_utilities(4)), (2, 1, 3, 4))
+        path.write_text("".join(lines[:2] + [self.record(swapped)] + lines[3:]))
+        with pytest.raises(ValueError, match="census4.ndjson:3: the singletons are not in"):
+            read_census(path)
+
+    def test_incomplete_file(self, census4):
+        path, lines = census4
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=r"census4.ndjson:\d+: census file is incomplete"):
+            read_census(path)
+
+    def test_flags_on_some_records_only(self, census4):
+        path, lines = census4
+        bare = lines[2].replace(', "representable": true', "")
+        path.write_text("".join(lines[:2] + [bare] + lines[3:]))
+        with pytest.raises(ValueError, match="census4.ndjson:3: flags and counts must be on all"):
+            read_census(path)
+
+    def test_blank_lines_skipped(self, census4, n4_census):
+        path, lines = census4
+        path.write_text("\n" + "\n".join(lines) + "\n")
+        assert read_census(path).orders == n4_census.orders
+
+    def test_write_of_exhausted_flag_budget_raises(self, tmp_path):
+        census = enumerate_orders(4, with_flags=False, with_edges=False)
+        with pytest.raises(ResourceError) as exc:
+            _annotate_flags(census, time.monotonic(), None)
+        partial = exc.value.partial
+        assert partial.representable[0] is not None and None in partial.representable
+        path = tmp_path / "partial.ndjson"
+        with pytest.raises(ValueError, match="complete or absent"):
+            write_census(partial, path)
+        assert not path.exists()
 
 
 class TestFlagWorkers:

@@ -51,6 +51,17 @@ class TestConstruct:
     def test_usage_error_on_tie(self, capsys):
         assert main(["construct", "--utilities", "1,1"]) == 1
 
+    @pytest.mark.parametrize("utilities", ["1,\u0662,4", "+1,2,4", "1_0,2,4", "1,-2,4", "1,,4"])
+    def test_utilities_are_ascii_decimal_tokens(self, capsys, utilities):
+        # tokens follow the order-file rule: ASCII digits only, as orders._decimal reads them
+        assert main(["construct", "--utilities", utilities]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a decimal number") and "Traceback" not in err
+
+    def test_utilities_tokens_may_be_padded(self, capsys):
+        code, out = run(capsys, ["construct", "--utilities", " 2, 4 ,08,3"])
+        assert code == 0 and json.loads(out)["utilities"] == [2, 4, 8, 3]
+
     def test_deterministic_bytes(self, capsys):
         _, first = run(capsys, ["construct", "--maclagan", "4"])
         _, second = run(capsys, ["construct", "--maclagan", "4"])
@@ -312,6 +323,56 @@ class TestEnumerateAndStats:
         assert err.startswith(f"error: {check}:1: checkpoint record has n=3, this census has n=4")
         assert "Traceback" not in err
         assert check.read_text() == written  # no four-atom record appended
+
+    @pytest.mark.parametrize(
+        "case, command, line",
+        [
+            ("repeated record", "stats", 15),
+            ("order breaking the axioms", "stats", 1),
+            ("unsorted singletons", "stats", 2),
+            ("incomplete file", "stats", None),
+            ("checkpoint record out of place", "enumerate", 1),
+            ("checkpoint with too many records", "enumerate", 15),
+        ],
+    )
+    def test_census_contract_exits_one(self, capsys, tmp_path, n4_census, case, command, line):
+        # a finished checkpoint holds the same records as the census file
+        from cporders.census import relabel_order, write_census
+        from cporders.orders import ComparativeOrder, order_to_line
+
+        path = tmp_path / "census4.ndjson"
+        write_census(n4_census, path)
+        lines = path.read_text().splitlines(keepends=True)
+
+        def record(order):
+            return json.dumps({"irr": 5, "order": order_to_line(order), "representable": True}) + "\n"
+
+        lex = n4_census.orders[0]
+        if case == "repeated record":
+            lines.append(lines[0])
+        elif case == "order breaking the axioms":
+            ranked = list(lex.ranked)
+            ranked[5], ranked[6] = ranked[6], ranked[5]
+            lines[0] = record(ComparativeOrder(4, ranked))
+        elif case == "unsorted singletons":
+            lines[1] = record(relabel_order(lex, (1, 3, 2, 4)))
+        elif case == "incomplete file":
+            del lines[-1]
+        elif case == "checkpoint record out of place":
+            lines[0], lines[1] = lines[1], lines[0]
+        else:
+            lines.append(lines[-1])
+        path.write_text("".join(lines))
+        argv = ["stats", "--in", str(path)]
+        if command == "enumerate":
+            argv = ["enumerate", "--n", "4", "--checkpoint", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        where = f"{path}:{line}: " if line else f"{path}:"
+        assert err.startswith(f"error: {where}"), err
+        assert "Traceback" not in err
+        if case == "incomplete file":
+            assert "census file is incomplete" in err
 
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "--n", "6", "--budget", "0.2"]) == 4

@@ -29,7 +29,6 @@ from cporders.orders import (
     order_from_utilities,
     validate_order,
 )
-from cporders.represent import facet_count
 from cporders.repro import random_utility_order
 
 
@@ -269,20 +268,20 @@ class TestNeighbors:
 
 
 class TestFacetCount:
-    def test_lex3(self, lex3):
+    def test_lex3(self, lex3, facet_count):
         assert facet_count(lex3) == 3
 
-    def test_five_atom_construction(self):
+    def test_five_atom_construction(self, facet_count):
         assert facet_count(order_from_utilities(maclagan_utilities(4))) == 8
 
-    def test_nonrepresentable_rejected(self, n5_census):
+    def test_nonrepresentable_rejected(self, n5_census, facet_count):
         bad = next(
             o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep
         )
         with pytest.raises(NotRepresentableError):
             facet_count(bad)
 
-    def test_facets_bounded_by_flips(self, lex4):
+    def test_facets_bounded_by_flips(self, lex4, facet_count):
         assert facet_count(lex4) <= len(flippable_pairs(lex4))
 
 
@@ -319,7 +318,7 @@ class TestTheorem2Bijection:
                 self.assert_bijection(random_utility_order(n, rng))
 
 
-def test_empty_pair_flippable_examples(lex3):
+def test_empty_pair_flippable_examples(lex3, facet_count):
     empty_pair = critical_pairs(lex3)[0]
     assert empty_pair.a.mask == 0 and is_flippable(lex3, empty_pair)
     # it has no flip, so facet_count counts it by itself: 2 neighbours + 1
