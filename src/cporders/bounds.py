@@ -47,25 +47,45 @@ class GHCounts:
     h: int
 
 
+def _pairs_at_gap(n: int, gap: int) -> int:
+    """Disjoint pairs of the doubled-binary order on [n] at an even utility
+    ``gap`` = 2d: the a < 2^n - d with a & (a + d) == 0.
+
+    The count runs over the bits from the lowest, carrying the addition
+    a + d: ``ways[c]`` counts the low bits of a so far whose sum with d's
+    leaves carry c, and bit i of a may be 1 only where bit i of a + d is
+    0.  A final carry means a + d >= 2^n.  So it takes O(n) steps, not a
+    sweep of 2^n masks.
+    """
+    if gap % 2:
+        raise VerificationError(f"gap {gap} is odd; doubled weights give even gaps only")
+    d = gap // 2
+    if not 0 <= d < 1 << n:
+        return 0
+    ways = [1, 0]
+    for i in range(n):
+        bit = d >> i & 1
+        nxt = [0, 0]
+        for carry, count in enumerate(ways):
+            for x in (0, 1):
+                total = x + bit + carry
+                if not x & total:
+                    nxt[total >> 1] += count
+        ways = nxt
+    return ways[0]
+
+
 def gh_counts(n: int) -> GHCounts:
     """Disjoint-pair counts of the doubled-binary order at gaps q_n +- 1.
 
     Subset utilities under weights (2, 4, ..., 2^n) are exactly twice the
     mask value, so pairs at an even gap 2d are masks (a, a+d) that are
-    bitwise disjoint; one O(2^n) sweep per gap.
+    bitwise disjoint (``_pairs_at_gap``).
     """
     if not 3 <= n <= 20:
         raise ValueError(f"gh_counts supports 3 <= n <= 20, got {n}")
     q = q_value(n)
-
-    def pairs_at_gap(gap: int) -> int:
-        if gap % 2:
-            raise VerificationError(f"gap {gap} is odd; doubled weights give even gaps only")
-        d = gap // 2
-        top = 1 << n
-        return sum(1 for a in range(top - d) if a & (a + d) == 0)
-
-    return GHCounts(n, pairs_at_gap(q.q_plus), pairs_at_gap(q.q_minus))
+    return GHCounts(n, _pairs_at_gap(n, q.q_plus), _pairs_at_gap(n, q.q_minus))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .cones import cone_from_order, irreducible_elements
 from .errors import ResourceError, VerificationError
-from .flips import flip_neighbors, flippable_pairs
+from .flips import _flippable_masks, _flipped, flippable_pairs
 from .orders import (
     ComparativeOrder, order_from_line, order_to_line, subset_sums, validate_order,
 )
@@ -309,12 +309,22 @@ def relabel_order(order: ComparativeOrder, perm: tuple[int, ...]) -> Comparative
 def _annotate_edges(census) -> None:
     """Fill ``census.edges`` row by row.  A flip whose order is not in the
     census, as it is or relabeled so its singletons ascend, raises
-    VerificationError with the rows before it in place."""
+    VerificationError with the rows before it in place.
+
+    The neighbours come from ``flips._flipped``, without ``flip``'s
+    ``validate_order`` guard: a neighbour found in the index equals a
+    census order, or relabels to one, and every census order passed
+    ``validate_order`` when it was generated or read (``read_census``
+    checks each record); validity does not change under relabeling.  A
+    neighbour the index misses raises, valid or not."""
     index = {o.ranked: i for i, o in enumerate(census.orders)}
     edges = census.edges = []
     for order in census.orders:
         row: list[int] = []
-        for _, neighbor in flip_neighbors(order):
+        for _, a, b in _flippable_masks(order):
+            if not a:
+                continue
+            neighbor = _flipped(order, a, b)
             j = index.get(neighbor.ranked)
             if j is None:
                 j = index.get(relabel_order(neighbor, singleton_relabeling(neighbor)).ranked)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -50,11 +51,20 @@ EXIT_BUDGET = 4
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print ``payload`` as JSON, or ``text_lines``, and flush.  A closed
+    stdout means nobody reads: stdout then points at os.devnull, so the
+    flush at exit cannot fail either, and the command keeps its exit code."""
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_construct(args) -> int:
@@ -252,11 +262,7 @@ def cmd_repro(args) -> int:
             for r in results
         ]
     }
-    if args.format == "json":
-        _emit(payload, "json", [])
-    else:
-        for r in results:
-            print(r.line())
+    _emit(payload, args.format, [r.line() for r in results])
     return EXIT_OK if all(r.passed or r.skipped for r in results) else EXIT_VERIFY_FAIL
 
 

@@ -79,14 +79,38 @@ def is_flippable(order: ComparativeOrder, pair: CriticalPair) -> bool:
     return _translate_ranks(order, pair.a.mask, pair.b.mask) is not None
 
 
+def _flippable_masks(order: ComparativeOrder) -> Iterator[tuple[int, int, int]]:
+    """(rank, a, b) of each flippable pair, masks a and b, in rank order."""
+    ranked = order.ranked
+    for k, (a, b) in enumerate(zip(ranked, ranked[1:])):
+        if not a & b and _translate_ranks(order, a, b) is not None:
+            yield k, a, b
+
+
 def flippable_pairs(order: ComparativeOrder) -> list[CriticalPair]:
     """The critical pairs that pass ``is_flippable``, in rank order."""
-    n, ranked = order.n, order.ranked
-    return [
-        CriticalPair(Subset(a, n), Subset(b, n), k)
-        for k, (a, b) in enumerate(zip(ranked, ranked[1:]))
-        if not a & b and _translate_ranks(order, a, b) is not None
-    ]
+    n = order.n
+    return [CriticalPair(Subset(a, n), Subset(b, n), k) for k, a, b in _flippable_masks(order)]
+
+
+def _flipped(order: ComparativeOrder, a: int, b: int) -> ComparativeOrder:
+    """``order`` with every translate (A|D, B|D) of the flippable pair of
+    masks (a, b) swapped; rank lanes on ``order`` pass on to the result.
+    The result is not validated (``flip`` does that)."""
+    ranks = _translate_ranks(order, a, b)
+    if ranks is None:
+        n = order.n
+        raise ValueError(
+            f"pair ({Subset(a, n).to_text()}, {Subset(b, n).to_text()}) "
+            "is not flippable for this order"
+        )
+    ranked = list(order.ranked)
+    for k in ranks:
+        ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
+    # swaps of ranks keep the input's permutation a permutation
+    result = ComparativeOrder._from_permutation(order.n, tuple(ranked))
+    _pass_lanes(order, result, a, b, ranks)
+    return result
 
 
 def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
@@ -101,21 +125,14 @@ def flip(order: ComparativeOrder, pair: CriticalPair) -> ComparativeOrder:
             f"cannot flip ({pair.a.to_text()}, {pair.b.to_text()}): "
             "the empty set must stay strictly first"
         )
-    ranks = _translate_ranks(order, pair.a.mask, pair.b.mask)
-    if ranks is None:
-        raise ValueError(
-            f"pair ({pair.a.to_text()}, {pair.b.to_text()}) is not flippable for this order"
-        )
-    ranked = list(order.ranked)
-    for k in ranks:
-        ranked[k], ranked[k + 1] = ranked[k + 1], ranked[k]
-    # swaps of ranks keep the input's permutation a permutation
-    result = ComparativeOrder._from_permutation(order.n, tuple(ranked))
-    _pass_lanes(order, result, pair.a.mask, pair.b.mask, ranks)
-    # capped at 5 atoms: validate_order makes n passes over the order, which
-    # at 12 atoms (~3-4 ms) costs over ten times a flip plus the hint check
-    # of the neighbour it yields on rank lanes (~0.15 + ~0.1 ms), and
-    # verify-fibonacci flips every flippable pair
+    result = _flipped(order, pair.a.mask, pair.b.mask)
+    # the guard against a faulty transposition, capped at 5 atoms:
+    # validate_order makes n passes over the order, which at 12 atoms
+    # (~3-4 ms) costs over ten times a flip plus the hint check of the
+    # neighbour it yields on rank lanes (~0.15 + ~0.1 ms), and
+    # verify-fibonacci flips every flippable pair.  The census edges skip
+    # it through ``_flipped``: a neighbour found in the census is a
+    # validated order (see ``census._annotate_edges``)
     if order.n <= 5 and not validate_order(result).ok:
         raise VerificationError(
             f"flip over ({pair.a.to_text()}, {pair.b.to_text()}) gave an invalid order"

@@ -5,7 +5,10 @@ exact arithmetic, so verdicts carry no rounding error.  Either verdict comes
 with its proof: a point x of the set, or Farkas multipliers lambda >= 0 with
 lambda^T A <= 0 and lambda^T b > 0, which no x >= 0 can satisfy together
 with A x >= b.  The multipliers are the final phase-1 reduced costs of the
-surplus columns, so they cost no extra pivot.
+surplus columns, so they cost no extra pivot.  They come back as the
+tableau's integers, which are the rational multipliers times the final
+denominator d > 0; a positive scale keeps all three conditions, so no
+Fraction is built for them.  The point x comes back in Fractions.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968): the
 tableau, the reduced costs and the objective are Python ints over one
@@ -40,7 +43,7 @@ class Feasibility(NamedTuple):
     """Outcome of :func:`solve_feasibility`; exactly one field is not None."""
 
     solution: Optional[list]  # Fractions x >= 0 with A x >= b
-    farkas: Optional[list]  # one multiplier per row: lambda >= 0, lambda^T A <= 0, lambda^T b > 0
+    farkas: Optional[list]  # one int per row: lambda >= 0, lambda^T A <= 0, lambda^T b > 0
 
 
 def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feasibility:
@@ -143,8 +146,8 @@ def solve_feasibility(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feas
         raise RuntimeError("simplex pivot limit exceeded")
 
     if cost[ncols] != 0:
-        # reduced cost of surplus column i = multiplier of row i (see module doc)
-        return Feasibility(None, [Fraction(v, d) for v in cost[n : n + m]])
+        # reduced cost of surplus column i = d times the multiplier of row i
+        return Feasibility(None, cost[n : n + m])
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:

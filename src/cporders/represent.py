@@ -8,17 +8,22 @@ chi(B) - chi(A) with A ranked before B.  Every facet of a representable
 order's region is a flippable pair (Maclagan 1999), so the columns of the
 flippable pairs and (empty set, first subset) suffice.  By Gordan's
 alternative exactly one of that system and {y >= 0, sum_j y_j d_j = 0,
-sum_j y_j >= 1} is solvable; one exact phase-1 solve of the second (2n + 1
-rows, one column per pair) decides.  A solution y, scaled to integers, is
-a trading transform (Kraft-Pratt-Seidenberg): y_j copies of (A_j, B_j).
-Otherwise the Farkas multipliers lambda give utilities u_i = lambda_{n+i}
-- lambda_i with u . d_j >= lambda_{2n} > 0, which re-derive the order if
-it is representable.  If not, each consecutive gap (S, T) they break has
-u . d <= 0, so is a new column: its disjoint parts when those are in
-order, else (S, T).  The system is solved again with them, so the rounds
-end, at worst at one column per gap.  Verdicts equal the whole-gap
-system's; the Farkas utilities differ, and transforms are not the
-shortest (``find_trading_transform`` finds those).
+sum_j y_j >= 1} is solvable; one exact phase-1 solve of the second decides.
+
+Its n + 2 rows, one column per pair, are D_i y >= 0 for each atom i (D_i
+the i-th entries of the columns), -(sum_i D_i) y >= 0 and sum_j y_j >= 1.
+Nonnegative rows whose sum is <= 0 are all zero, so these rows admit the
+same y as D y = 0 written as 2n opposite inequalities.  A solution y,
+scaled to integers, is a trading transform (Kraft-Pratt-Seidenberg): y_j
+copies of (A_j, B_j).  Otherwise the solver's integer Farkas multipliers
+(lambda_1..lambda_n, mu, nu) give utilities u_i = mu - lambda_i with u .
+d_j >= nu > 0 on every column, which re-derive the order if it is
+representable.  If not, each consecutive gap (S, T) they break has u . d
+<= 0, so is a new column: its disjoint parts when those are in order,
+else (S, T).  The system is solved again with them, so the rounds end, at
+worst at one column per gap.  Verdicts equal the whole-gap system's; the
+Farkas utilities differ, and transforms are not the shortest
+(``find_trading_transform`` finds those).
 
 :func:`check_certificate` is the one checker; ``is_representable`` returns
 only what it passes, else VerificationError (also under ``python -O``).  A
@@ -50,7 +55,7 @@ from typing import Optional, Sequence
 
 from .cones import cone_from_order
 from .errors import CporderError, LengthMismatchError, ResourceError, VerificationError
-from .flips import CriticalPair, flip_neighbors, flippable_pairs
+from .flips import CriticalPair, _flippable_masks, flip_neighbors
 from .lp import solve_feasibility
 from .orders import ComparativeOrder, Subset, _laned_copy, _lanes_rise, subset_sums
 
@@ -160,12 +165,12 @@ def _scale_to_integers(values) -> tuple[int, ...]:
 
 def _gordan_system(n: int, columns) -> tuple[list[list[int]], list[int]]:
     """Rows and right-hand sides of sum_j y_j (chi(B_j) - chi(A_j)) = 0 (as
-    two inequalities per atom) and sum_j y_j >= 1, one column per mask pair
-    (A_j, B_j) in ``columns``."""
+    one inequality per atom and one for minus their sum) and sum_j y_j >=
+    1, one column per mask pair (A_j, B_j) in ``columns``."""
     rows = [[(b >> i & 1) - (a >> i & 1) for a, b in columns] for i in range(n)]
-    rows += [[-v for v in row] for row in rows]
+    rows.append([a.bit_count() - b.bit_count() for a, b in columns])
     rows.append([1] * len(columns))
-    return rows, [0] * (2 * n) + [1]
+    return rows, [0] * (n + 1) + [1]
 
 
 def is_representable(
@@ -189,14 +194,14 @@ def is_representable(
             return cert
 
     pos = order.position
-    columns = {(fp.a.mask, fp.b.mask) for fp in flippable_pairs(order)} | {(0, ranked[1])}
+    columns = {(a, b) for _, a, b in _flippable_masks(order)} | {(0, ranked[1])}
     while True:
         ordered = sorted(columns)
         result = solve_feasibility(*_gordan_system(n, ordered))
         if result.solution is not None:
             break
         lam = result.farkas
-        utilities = _scale_to_integers([lam[n + i] - lam[i] for i in range(n)])
+        utilities = _scale_to_integers([lam[n] - lam[i] for i in range(n)])
         cert = Certificate("representable", utilities)
         if check_certificate(cert, order):
             return cert

@@ -1,5 +1,6 @@
 """q_n, Fibonacci numbers, g/h counts, and the certified entropy bounds."""
 
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, floor
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cporders.bounds import (
+    _pairs_at_gap,
     entropy_bound,
     gh_counts,
     lambda_bracket,
@@ -33,6 +35,12 @@ def fibonacci_nearest_phi(k: int) -> int:
         phi = (1 + root5) / 2
         value = phi**k / root5
         return int((value + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))
+
+
+def pairs_at_gap_sweep(n: int, gap: int) -> int:
+    """The sweep oracle: every mask a below 2^n - gap / 2 tried in turn."""
+    d = gap // 2
+    return sum(1 for a in range((1 << n) - d) if a & (a + d) == 0)
 
 
 class TestQValue:
@@ -107,6 +115,27 @@ class TestGHCounts:
             assert (nxt.g, nxt.h) == (cur.g + cur.h, cur.h)
         else:
             assert (nxt.g, nxt.h) == (cur.g, cur.g + cur.h)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_carry_count_matches_the_sweep(self, n):
+        rng = random.Random(1103 + n)
+        top = 1 << n
+        # both ends of the range, one past it, and random even gaps between
+        gaps = [0, 2, 2 * (top - 1), 2 * top, 2 * top + 2]
+        gaps += [2 * rng.randrange(top) for _ in range(32)]
+        for gap in gaps:
+            assert _pairs_at_gap(n, gap) == pairs_at_gap_sweep(n, gap), gap
+
+    @pytest.mark.parametrize("n", range(3, 19))
+    def test_gh_counts_match_the_sweep(self, n):
+        q = q_value(n)
+        gh = gh_counts(n)
+        assert (gh.g, gh.h) == (pairs_at_gap_sweep(n, q.q_plus), pairs_at_gap_sweep(n, q.q_minus))
+
+    @pytest.mark.parametrize("gap", [1, 7, 11])
+    def test_odd_gap_raises(self, gap):
+        with pytest.raises(VerificationError, match="odd"):
+            _pairs_at_gap(5, gap)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

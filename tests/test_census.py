@@ -8,6 +8,7 @@ import pytest
 
 from cporders.census import (
     OrderCensus,
+    _annotate_edges,
     _annotate_flags,
     brute_force_oracle,
     census_stats,
@@ -19,7 +20,7 @@ from cporders.census import (
     worker_map,
     write_census,
 )
-from cporders.errors import ResourceError
+from cporders.errors import ResourceError, VerificationError
 from cporders.flips import flip, flip_neighbors, flippable_pairs
 from cporders.orders import (
     ComparativeOrder,
@@ -103,6 +104,48 @@ class TestCensusInvariants:
         # spot-check a slice of census flags against fresh decisions
         for order, flag in list(zip(n5_census.orders, n5_census.representable))[::97]:
             assert is_representable(order).representable == flag
+
+
+def guarded_edge_rows(census):
+    """Edge rows built through the public ``flip``, with its validate_order
+    guard, and the lookup ``_annotate_edges`` makes."""
+    index = {o.ranked: i for i, o in enumerate(census.orders)}
+
+    def lookup(neighbor):
+        j = index.get(neighbor.ranked)
+        if j is None:
+            j = index.get(relabel_order(neighbor, singleton_relabeling(neighbor)).ranked)
+        return j
+
+    return [
+        [lookup(flip(order, fp)) for fp in flippable_pairs(order) if fp.a.mask]
+        for order in census.orders
+    ]
+
+
+class TestEdges:
+    """``_annotate_edges`` builds neighbours without ``flip``'s guard; census
+    membership stands in for it."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_equal_the_guarded_flips(self, n):
+        census = enumerate_orders(n, with_flags=False)
+        assert census.edges == guarded_edge_rows(census)
+        assert None not in {j for row in census.edges for j in row}
+
+    @pytest.mark.parametrize(
+        "n, removed", [(3, 0), (3, 1)] + [(4, r) for r in range(14)] + [(5, 0), (5, 90), (5, 545)]
+    )
+    def test_a_missing_order_is_named(self, n, removed):
+        full = enumerate_orders(n, with_flags=False)
+        kept = [i for i in range(len(full.orders)) if i != removed]
+        orders = [full.orders[i] for i in kept]
+        # the first remaining row with an edge to the removed order
+        row = next(r for r, i in enumerate(kept) if removed in full.edges[i])
+        census = OrderCensus(n, orders)
+        with pytest.raises(VerificationError, match=f"a flip of census order {row} left the census"):
+            _annotate_edges(census)
+        assert census.edges == guarded_edge_rows(OrderCensus(n, orders))[:row]
 
 
 class TestRelabeling:

@@ -473,6 +473,32 @@ class TestUsage:
         assert "cporders" in loaded
         assert loaded - {"__main__", "cporders"} <= sys.stdlib_module_names
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["enumerate", "--n", "5", "--format", "json"], 0),
+            (["enumerate", "--n", "3", "--format", "text"], 0),
+            (["represent", "--format", "json"], 3),
+        ],
+        ids=["enumerate-json", "enumerate-text", "represent-nonrep"],
+    )
+    def test_closed_stdout_is_not_an_error(self, nonrep_file, argv, code):
+        # the reading end closes before the child writes: the command keeps
+        # its exit code and says nothing on stderr
+        if argv[0] == "represent":
+            argv = argv + ["--order-file", str(nonrep_file)]
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cporders.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        child.stdout.close()
+        with child.stderr:
+            err = child.stderr.read()
+        assert child.wait(timeout=120) == code
+        assert err == b""
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 

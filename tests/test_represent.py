@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cporders.census import enumerate_orders, relabel_order
+from cporders.census import enumerate_orders, relabel_order, singleton_relabeling
 from cporders.errors import (
     LengthMismatchError, NotNeighborsError, ResourceError, TieError, VerificationError,
 )
@@ -25,6 +25,7 @@ from cporders.orders import (
     _lanes_rise,
     order_from_utilities,
     subset_sums,
+    validate_order,
 )
 from cporders.represent import (
     Certificate,
@@ -99,7 +100,7 @@ class TestSolveFeasibility:
         rng = random.Random(7)
         utilities = tuple(sorted(rng.sample(range(100, 40000), 8)))
         assert is_representable(order_from_utilities(utilities)).utilities == (
-            36, 54, 70, 111, 238, 267, 289, 392,
+            37, 55, 71, 113, 242, 272, 294, 399,
         )
         assert is_representable(order_from_utilities(maclagan_utilities(6))).utilities == (
             2, 4, 8, 16, 21, 32, 64,
@@ -195,14 +196,17 @@ class TestIsRepresentable:
 
     @pytest.mark.parametrize("utilities", [(0, 0, 0), (9, 5, 3), (1, 1, 2), (3, 5, 0)])
     def test_bogus_farkas_utilities_raise(self, monkeypatch, utilities):
-        # lambda_{n+i} - lambda_i = u_i, so these multipliers give ``utilities``
+        # n + 2 rows: lambda_1..lambda_n, then mu for -(sum of the atom rows),
+        # then nu; u_i = mu - lambda_i, so these multipliers give ``utilities``
         n = 3
-        lam = [0] * (2 * n + 1)
-        for i, value in enumerate(utilities):
-            lam[n + i] = value
-        monkeypatch.setattr(
-            "cporders.represent.solve_feasibility", lambda rows, rhs: Feasibility(None, lam)
-        )
+        mu = max(utilities)
+        lam = [mu - value for value in utilities] + [mu, 1]
+
+        def bogus(rows, rhs):
+            assert len(rows) == len(rhs) == len(lam)
+            return Feasibility(None, lam)
+
+        monkeypatch.setattr("cporders.represent.solve_feasibility", bogus)
         with pytest.raises(VerificationError, match="do not re-derive"):
             is_representable(order_from_utilities((3, 5, 9)))
 
@@ -243,12 +247,17 @@ class TestIsRepresentable:
 
     @pytest.mark.parametrize(
         "bogus",
-        [Feasibility(None, [Fraction(1)] * 7), Feasibility([Fraction(1)] * 7, None)],
+        [Feasibility(None, [1] * 5), Feasibility([Fraction(1)] * 7, None)],
         ids=["farkas", "solution"],
     )
     def test_wrong_solver_answer_is_refused(self, monkeypatch, bogus):
-        # n=3 has 2n+1 = 7 rows; neither answer certifies lex3
-        monkeypatch.setattr("cporders.represent.solve_feasibility", lambda rows, rhs: bogus)
+        # n=3 has n + 2 = 5 rows, so the multipliers give u_i = 1 - 1 = 0,
+        # and lex3 has fewer than 7 columns; neither answer certifies lex3
+        def wrong(rows, rhs):
+            assert len(rows) == 5 and len(rows[0]) < 7
+            return bogus
+
+        monkeypatch.setattr("cporders.represent.solve_feasibility", wrong)
         with pytest.raises(VerificationError):
             is_representable(order_from_utilities(lexicographic_utilities(3)))
 
@@ -386,6 +395,86 @@ class TestPairSystemAgainstWholeGaps:
         assert not n5_census.representable[index]
         cert = self.assert_same_verdict(lift(n5_census.orders[index], extra))
         assert not cert.representable
+
+    def test_sampled_n6_census_orders(self):
+        # the n = 6 census is too slow to build here, so its orders are
+        # sampled by a seeded flip walk from lex6, each stop relabeled into
+        # P_6* (flips stay in P_6; relabeling makes the singletons ascend)
+        rng = random.Random(1103)
+        order = order_from_utilities(lexicographic_utilities(6))
+        sample = {}
+        while len(sample) < 200:
+            for _ in range(5):
+                _, order = rng.choice(list(flip_neighbors(order)))
+            order = relabel_order(order, singleton_relabeling(order))
+            sample.setdefault(order.ranked, order)
+        verdicts = []
+        for order in sample.values():
+            assert validate_order(order).ok
+            verdicts.append(self.assert_same_verdict(order).representable)
+        assert 0 < verdicts.count(False) < verdicts.count(True)
+
+
+def shuffled_solver(rng):
+    """``solve_feasibility`` on the columns in an order drawn from ``rng``,
+    with the solution put back in the caller's column order."""
+
+    def solve(rows, rhs):
+        k = len(rows[0])
+        perm = rng.sample(range(k), k)
+        result = solve_feasibility([[row[j] for j in perm] for row in rows], rhs)
+        if result.solution is None:
+            return result
+        x = [0] * k
+        for slot, j in enumerate(perm):
+            x[j] = result.solution[slot]
+        return Feasibility(x, None)
+
+    return solve
+
+
+class TestColumnOrder:
+    """The verdict does not hang on the order of the pair columns: shuffled
+    before each solve, they give the same verdict and a certificate that
+    passes its check."""
+
+    @staticmethod
+    def assert_verdict_kept(order, flag, rng):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cporders.represent.solve_feasibility", shuffled_solver(rng))
+            cert = is_representable(order)
+        assert cert.representable == flag
+        if flag:
+            assert order_from_utilities(cert.utilities) == order
+        else:
+            assert check_trading_transform(cert.transform, order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_census_orders(self, data, n3_census, n4_census, n5_census):
+        census = data.draw(st.sampled_from([n3_census, n4_census, n5_census]), label="n")
+        i = data.draw(st.integers(0, len(census.orders) - 1), label="order")
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        self.assert_verdict_kept(census.orders[i], census.representable[i], rng)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_random_orders_on_7_to_9_atoms(self, data, n5_census):
+        n = data.draw(st.integers(7, 9), label="n")
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        if data.draw(st.booleans(), label="representable"):
+            utilities = data.draw(
+                st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True), label="u"
+            )
+            try:
+                order = order_from_utilities(utilities)
+            except TieError:
+                assume(False)
+            flag = True
+        else:
+            nonrep = [o for o, rep in zip(n5_census.orders, n5_census.representable) if not rep]
+            order, flag = lift(data.draw(st.sampled_from(nonrep), label="base"), n - 5), False
+        self.assert_verdict_kept(order, flag, rng)
 
 
 def rederives(utilities, order):
