@@ -3,7 +3,11 @@ atom counts (with singletons in ascending position), flip-graph edges over
 the census, and the summary statistics: representable counts, irreducible
 histograms, facet extremes, connectivity.  A facet count is flippable
 pairs minus unfriendly flips, and M(n) is read off the census flags and
-edges without solving an LP.
+edges without solving an LP.  Every irreducible count checks Theorem 2
+(Fine & Gill 1976; Maclagan 1999): the cone's irreducible elements are
+exactly the vectors of the order's flippable pairs, else
+VerificationError.  So a census built with flags has checked it on every
+order.
 
 The generator extends a ranked prefix subset by subset.  For every atom
 c, the subsets holding c must follow the rank order of their c-free parts,
@@ -34,9 +38,9 @@ from dataclasses import dataclass
 from itertools import permutations, repeat
 from typing import Optional
 
-from .cones import cone_from_order, irreducible_elements
+from .cones import cone_from_order, irreducible_elements, unpack_ternary
 from .errors import ResourceError, VerificationError
-from .flips import _flippable_masks, _flipped, flippable_pairs
+from .flips import _flippable_masks, _flipped
 from .orders import (
     ComparativeOrder, order_from_line, order_to_line, subset_sums, validate_order,
 )
@@ -188,7 +192,20 @@ def worker_map(fn, items, threads: int, chunksize: int):
 
 
 def _irreducible_count(order: ComparativeOrder) -> int:
-    return len(irreducible_elements(cone_from_order(order)))
+    """Irreducible-element count of the order's cone, checked against
+    Theorem 2: the irreducible elements must be exactly the vectors chi(A,
+    B) of the flippable pairs (A, B), else VerificationError.  The sides
+    of a flippable pair are disjoint, so distinct pairs give distinct
+    vectors."""
+    n = order.n
+    chis = {unpack_ternary(b << n | a, n) for _, a, b in _flippable_masks(order)}
+    irr = irreducible_elements(cone_from_order(order))
+    if irr != chis:
+        raise VerificationError(
+            f"Theorem 2 fails on a {n}-atom order: the cone's irreducible "
+            "elements are not the vectors of its flippable pairs"
+        )
+    return len(irr)
 
 
 def _flag_worker(order: ComparativeOrder) -> tuple[bool, int]:
@@ -336,9 +353,10 @@ def _annotate_edges(census) -> None:
 
 def brute_force_oracle(n: int) -> OrderCensus:
     """Independent census for n <= 3: filter every permutation of all 2^n
-    subsets through the validity check and the ascending-singleton
-    convention.  Permutations not starting at the empty set are exactly the
-    empty-set-axiom failures, so they are skipped without building orders."""
+    subsets through the ascending-singleton convention, then the validity
+    check, the dearer of the two.  Permutations not starting at the empty
+    set are exactly the empty-set-axiom failures, so they are skipped
+    without building orders."""
     if not 1 <= n <= 3:
         raise ValueError("oracle is exhaustive over permutations only for n <= 3")
     full = 1 << n
@@ -346,9 +364,9 @@ def brute_force_oracle(n: int) -> OrderCensus:
     for perm in permutations(range(1, full)):
         ranked = (0,) + perm
         order = ComparativeOrder(n, ranked)
-        if not validate_order(order).ok:
-            continue
         if singleton_relabeling(order) != tuple(range(1, n + 1)):
+            continue
+        if not validate_order(order).ok:
             continue
         orders.append(order)
     return OrderCensus(n, orders)
@@ -408,7 +426,7 @@ def facet_counts_from_census(census: OrderCensus) -> list[Optional[int]]:
         raise ValueError("census must carry representability flags and edges")
     rep = census.representable
     return [
-        len(flippable_pairs(order)) - sum(not rep[j] for j in census.edges[i])
+        len(_flippable_masks(order)) - sum(not rep[j] for j in census.edges[i])
         if rep[i]
         else None
         for i, order in enumerate(census.orders)

@@ -106,8 +106,8 @@ _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 def _packed_members(n: int, bits: int) -> Iterator[int]:
     """The packed vectors in the 3^n-bit set ``bits``, by index.  This
-    builds a 3^n-entry table, so the cone build and irreducibles never
-    call it."""
+    builds a 3^n-entry table, so the cone build, irreducibles and the D3
+    check never call it."""
     table = [0]  # table[k] is the packed vector with index k
     for i in range(n):
         # the new digit i is the most significant: 0, 1, 2 is entry -1, 0, +1
@@ -129,6 +129,20 @@ def _partners_in(bits: int, pos: int, neg: int, not_plus: list[int], not_minus: 
         neg >>= 1
         i += 1
     return bits
+
+
+@cache
+def _partner_masks(n: int, first: int, last: int) -> tuple[int, ...]:
+    """``masks[j]`` is the 3^n-bit set of the y with x + y ternary in
+    digits first..last - 1, for every x whose digits there spell j in base
+    3 (digit first lowest); the other digits of x do not matter.  Tabled
+    as ``_packed_members`` tables vectors, one digit at a time."""
+    _, not_plus, not_minus = _ternary_tables(n)
+    masks = [(1 << 3**n) - 1]
+    for i in range(first, last):
+        # digit i of x is 0, 1, 2 (entry -1, 0, +1) in blocks of the table so far
+        masks = [m & not_minus[i] for m in masks] + masks + [m & not_plus[i] for m in masks]
+    return tuple(masks)
 
 
 def _translate(bits: int, offset: int) -> int:
@@ -218,17 +232,23 @@ class DiscreteCone:
 
         For each member x, the members y with x + y ternary, shifted by
         idx(x) - idx(0), are exactly the sums x + y; none may fall outside.
+        The y with x + y ternary are read off two tables per n, one for the
+        low n // 2 digits of idx(x) and one for the rest, each 3^(n/2) sets
+        of 3^n bits.
         """
         n = self.n
-        weight, not_plus, not_minus = _ternary_tables(n)
-        low = (1 << n) - 1
+        size = 3**n
+        zero, split = size // 2, 3 ** (n // 2)
+        low, high = _partner_masks(n, 0, n // 2), _partner_masks(n, n // 2, n)
         members = self._bits
         outside = ~members
-        for x in _packed_members(n, members):
-            pos, neg = x >> n, x & low
-            partners = _partners_in(members, pos, neg, not_plus, not_minus)
-            if _translate(partners, weight[pos] - weight[neg]) & outside:
+        text = _bit_text(members, size)
+        k = text.find("1")
+        while k >= 0:
+            partners = members & low[k % split] & high[k // split]
+            if _translate(partners, k - zero) & outside:
                 return False
+            k = text.find("1", k + 1)
         return True
 
 

@@ -13,6 +13,11 @@ critical pair that passes ``is_flippable``.  Its ``adjacencies`` count,
 2^r, follows from the masks alone; for a flippable pair it is the number of
 consecutive-rank slots the translates occupy.  The translate walk reads
 masks, so ``flippable_pairs`` builds Subsets only for the pairs it returns.
+
+``_flippable_masks`` walks an order's critical pairs once and keeps the
+flippable ranks as bits of the order's ``_flippable`` cache, so each later
+reader of its (rank, a, b) masks (representability columns, census edges
+and facet counts, the Theorem-2 and adjacency-budget checks) reads the int.
 """
 
 from __future__ import annotations
@@ -79,12 +84,23 @@ def is_flippable(order: ComparativeOrder, pair: CriticalPair) -> bool:
     return _translate_ranks(order, pair.a.mask, pair.b.mask) is not None
 
 
-def _flippable_masks(order: ComparativeOrder) -> Iterator[tuple[int, int, int]]:
-    """(rank, a, b) of each flippable pair, masks a and b, in rank order."""
+def _flippable_masks(order: ComparativeOrder) -> list[tuple[int, int, int]]:
+    """(rank, a, b) of each flippable pair, masks a and b, in rank order.
+    The first call on an order walks its critical pairs and keeps bit k of
+    ``order._flippable`` set for a flippable pair at ranks k, k + 1."""
     ranked = order.ranked
-    for k, (a, b) in enumerate(zip(ranked, ranked[1:])):
-        if not a & b and _translate_ranks(order, a, b) is not None:
-            yield k, a, b
+    flippable = order._flippable
+    if flippable is None:
+        ranks = [
+            k
+            for k, (a, b) in enumerate(zip(ranked, ranked[1:]))
+            if not a & b and _translate_ranks(order, a, b) is not None
+        ]
+        object.__setattr__(order, "_flippable", sum(1 << k for k in ranks))
+    else:
+        bits = bin(flippable)[:1:-1]  # bits[k] is bit k
+        ranks = [k for k, bit in enumerate(bits) if bit == "1"]
+    return [(k, ranked[k], ranked[k + 1]) for k in ranks]
 
 
 def flippable_pairs(order: ComparativeOrder) -> list[CriticalPair]:

@@ -163,19 +163,21 @@ def _all_masks(n: int) -> frozenset[int]:
 class ComparativeOrder:
     """A linear order on all 2^n subsets of [n], smallest first.
 
-    Stored as the ranked sequence of masks; its inverse, ``position`` (rank
-    by mask), is built on first read and kept.  A second private cache,
-    ``_lanes``, holds the order's rank lanes (see ``_laned_copy``) when
-    something attached them; like ``position`` it takes no part in
-    equality, hashing or pickling.  Construction only checks that
-    ``ranked`` is a permutation of all masks; the semantic axioms are
-    checked by :func:`validate_order`.  ``_from_permutation`` skips that
-    check for flips and laned copies, whose ranked masks come from a checked
-    order by swaps of ranks or unchanged.  Instances are immutable and
-    hashable.
+    Stored as the ranked sequence of masks.  Three private caches take no
+    part in equality, hashing or pickling: ``_position``, the inverse rank
+    by mask, built on first read of ``position``; ``_lanes``, the order's
+    rank lanes (see ``_laned_copy``) when something attached them; and
+    ``_flippable``, an int whose bit k marks a flippable pair at ranks k
+    and k + 1, filled by ``flips._flippable_masks`` on first use.  A laned
+    copy shares the first and the last; a flip's result starts without
+    them.  Construction only checks that ``ranked`` is a permutation of all
+    masks; the semantic axioms are checked by :func:`validate_order`.
+    ``_from_permutation`` skips that check for flips and laned copies,
+    whose ranked masks come from a checked order by swaps of ranks or
+    unchanged.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("n", "ranked", "_position", "_lanes")
+    __slots__ = ("n", "ranked", "_position", "_lanes", "_flippable")
 
     def __init__(self, n: int, ranked: Sequence[int]):
         _check_n(n)
@@ -197,6 +199,7 @@ class ComparativeOrder:
         object.__setattr__(self, "ranked", ranked)
         object.__setattr__(self, "_position", None)
         object.__setattr__(self, "_lanes", None)
+        object.__setattr__(self, "_flippable", None)
         return self
 
     @property
@@ -259,11 +262,12 @@ class ComparativeOrder:
 
 def _laned_copy(order: ComparativeOrder, bits: int) -> ComparativeOrder:
     """An equal order carrying rank lanes at least ``bits`` wide; it shares
-    ``order``'s position table when that is built."""
+    ``order``'s position table and flippable ranks when those are built."""
     step = -(-bits // 8)
     width, ranked = 8 * step, order.ranked
     copy = ComparativeOrder._from_permutation(order.n, ranked)
     object.__setattr__(copy, "_position", order._position)
+    object.__setattr__(copy, "_flippable", order._flippable)
     buf = bytearray(len(ranked) * step)
     lanes = []
     for i in range(order.n):

@@ -96,11 +96,9 @@ def test_criterion_06_decides_M6_on_the_max_flip_orders(n5_census, monkeypatch):
     # nine 8-flip orders (all friendly) play the 13-flip orders
     bare = repro.OrderCensus(5, n5_census.orders)
     monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
-    # the cone stage counts through census._irreducible_count
-    real_irreducibles = census.irreducible_elements
-    monkeypatch.setattr(
-        census, "irreducible_elements", lambda cone: [*real_irreducibles(cone), *range(5)]
-    )
+    # the cone stage counts through repro._irreducible_count
+    real_count = repro._irreducible_count
+    monkeypatch.setattr(repro, "_irreducible_count", lambda order: real_count(order) + 5)
     decided = []
     real_decide = repro.is_representable
 
@@ -118,6 +116,17 @@ def test_criterion_06_decides_M6_on_the_max_flip_orders(n5_census, monkeypatch):
     result = repro.criterion_6_census_6(ctx)
     assert not result.passed
     assert result.detail == "a 13-flip order is nonrepresentable or has an unfriendly flip"
+
+
+def test_a_lost_irreducible_fails_the_census_criteria(monkeypatch):
+    # every census count checks Theorem 2, so a cone kernel that loses an
+    # irreducible element fails criteria 4 and 7 instead of passing them
+    real = census.irreducible_elements
+    monkeypatch.setattr(
+        census, "irreducible_elements", lambda cone: frozenset(sorted(real(cone))[1:])
+    )
+    status = {r.number: r.status for r in repro.run_all()}
+    assert status[4] == status[7] == "FAIL"
 
 
 def test_criterion_06_budget_covers_the_cone_stage(n5_census, monkeypatch):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from cporders import census as census_module
 from cporders.census import (
     OrderCensus,
     _annotate_edges,
@@ -104,6 +105,24 @@ class TestCensusInvariants:
         # spot-check a slice of census flags against fresh decisions
         for order, flag in list(zip(n5_census.orders, n5_census.representable))[::97]:
             assert is_representable(order).representable == flag
+
+
+def drop_one_irreducible(monkeypatch, module):
+    """Make ``module.irreducible_elements`` lose one element of each cone."""
+    real = module.irreducible_elements
+    monkeypatch.setattr(
+        module, "irreducible_elements", lambda cone: frozenset(sorted(real(cone))[1:])
+    )
+
+
+class TestTheorem2Guard:
+    """Each irreducible count compares the cone's irreducible elements with
+    the order's flippable pairs (Theorem 2) and raises on any difference."""
+
+    def test_flag_stage_raises_on_a_lost_irreducible(self, monkeypatch):
+        drop_one_irreducible(monkeypatch, census_module)
+        with pytest.raises(VerificationError, match="Theorem 2"):
+            enumerate_orders(4)
 
 
 def guarded_edge_rows(census):
@@ -361,8 +380,6 @@ class TestPersistence:
     def test_order_lines_built_one_at_a_time(self, monkeypatch, tmp_path):
         # a resumed run checks the prefix, then builds each appended line
         # right after its order is flagged, never all lines up front
-        import cporders.census as census_module
-
         check = tmp_path / "flags4.ndjson"
         enumerate_orders(4, with_edges=False, checkpoint_path=check)
         lines = check.read_text().splitlines(keepends=True)

@@ -7,6 +7,9 @@ import pytest
 
 from cporders.cones import (
     DiscreteCone,
+    _partner_masks,
+    _partners_in,
+    _ternary_tables,
     characteristic_vector,
     cone_from_order,
     irreducible_elements,
@@ -98,6 +101,15 @@ def swapped_cone(cone, rng, swap):
     y = rng.choice([p for p in free if p != x]) if swap == "other" else x
     negated = (y & ((1 << n) - 1)) << n | y >> n
     return DiscreteCone(n, [p for p in packed if p != x] + [negated])
+
+
+def unpack_ternary_index(k, n):
+    """Entries of the vector with index k: digit i of k in base 3, minus 1."""
+    entries = []
+    for _ in range(n):
+        k, digit = divmod(k, 3)
+        entries.append(digit - 1)
+    return tuple(entries)
 
 
 class TestCharacteristicVector:
@@ -247,6 +259,39 @@ class TestAxiomChecks:
             d3_seen.add(d3)
         assert d2_seen == {d2_holds}
         assert (False in d3_seen) == d3_breaks
+
+
+class TestD3Tables:
+    """``check_d3_exhaustive`` reads each member's partners off two tables
+    per n split at digit n // 2; both must match the digit-by-digit mask."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tabled_masks_match_partners_in(self, n):
+        _, not_plus, not_minus = _ternary_tables(n)
+        full = (1 << 3**n) - 1
+        split = 3 ** (n // 2)
+        low, high = _partner_masks(n, 0, n // 2), _partner_masks(n, n // 2, n)
+        assert len(low) * len(high) == 3**n
+        for k in range(3**n):
+            pos, neg = 0, 0
+            for i, digit in enumerate(unpack_ternary_index(k, n)):
+                pos |= (digit == 1) << i
+                neg |= (digit == -1) << i
+            want = _partners_in(full, pos, neg, not_plus, not_minus)
+            assert low[k % split] & high[k // split] == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_pairwise_oracle_on_swapped_cones(self, n):
+        rng = random.Random(500 + n)
+        seen = set()
+        for swap in (None, "negate", "other"):
+            for _ in range(6):
+                cone = swapped_cone(cone_from_order(random_utility_order(n, rng)), rng, swap)
+                d3 = cone.check_d3_exhaustive()
+                assert d3 == d3_oracle(cone)
+                seen.add((swap is None, d3))
+        # real cones pass; some swapped ones fail (a swap may leave D3 intact)
+        assert (True, False) not in seen and (False, False) in seen
 
 
 class TestIrreduciblesAgainstBruteForce:

@@ -348,3 +348,42 @@ class TestMaskWalk:
         rng = random.Random(20261019)
         for _ in range(50):
             self.assert_definition(random_utility_order(rng.randint(6, 10), rng))
+
+
+class TestFlippableMemo:
+    """``order._flippable`` keeps the ranks of the flippable pairs after the
+    first walk; it changes neither what the order is nor what it yields."""
+
+    def test_matches_definition_before_and_after_fill(self):
+        rng = random.Random(20261020)
+        for _ in range(40):
+            order = random_utility_order(rng.randint(3, 10), rng)
+            want = [p for p in critical_pairs(order) if is_flippable(order, p)]
+            assert order._flippable is None
+            assert flippable_pairs(order) == want
+            assert order._flippable == sum(1 << p.rank_a for p in want)
+            assert flippable_pairs(order) == want
+
+    def test_takes_no_part_in_equality_hash_or_pickle(self):
+        order = order_from_utilities((2, 3, 4, 8, 16))
+        twin = order_from_utilities((2, 3, 4, 8, 16))
+        pairs = flippable_pairs(order)
+        assert order._flippable is not None and twin._flippable is None
+        assert order == twin and hash(order) == hash(twin)
+        back = pickle.loads(pickle.dumps(order))
+        assert back == order and back._flippable is None
+        assert flippable_pairs(back) == pairs
+        with pytest.raises(AttributeError):
+            order._flippable = None
+
+    def test_laned_copy_shares_it_and_flips_start_without(self):
+        order = order_from_utilities(maclagan_utilities(4))
+        assert _laned_copy(order, 16)._flippable is None
+        pairs = flippable_pairs(order)
+        laned = _laned_copy(order, 16)
+        assert laned._flippable == order._flippable is not None
+        assert flippable_pairs(laned) == pairs
+        for fp in pairs:
+            if fp.a.mask:
+                assert flip(order, fp)._flippable is None
+                assert flip(laned, fp)._flippable is None
