@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations, repeat
 from typing import Optional
 
-from .cones import cone_from_order, irreducible_elements, unpack_ternary
+from .cones import _irreducible_bits, _ternary_tables, cone_from_order
 from .errors import ResourceError, VerificationError
 from .flips import _flippable_masks, _flipped
 from .orders import (
@@ -194,22 +194,31 @@ def worker_map(fn, items, threads: int, chunksize: int):
 def _irreducible_count(order: ComparativeOrder) -> int:
     """Irreducible-element count of the order's cone, checked against
     Theorem 2: the irreducible elements must be exactly the vectors chi(A,
-    B) of the flippable pairs (A, B), else VerificationError.  The sides
-    of a flippable pair are disjoint, so distinct pairs give distinct
-    vectors."""
+    B) of the flippable pairs (A, B), else VerificationError.  Both sides
+    are 3^n-bit index sets (see ``cones``), compared as one int: the
+    pairs' set has bit idx(0) + weight[b] - weight[a] for each pair of
+    masks (a, b), and ``cones._irreducible_bits`` gives the cone's.  The
+    sides of a flippable pair are disjoint, so distinct pairs give
+    distinct vectors."""
     n = order.n
-    chis = {unpack_ternary(b << n | a, n) for _, a, b in _flippable_masks(order)}
-    irr = irreducible_elements(cone_from_order(order))
+    weight = _ternary_tables(n)[0]
+    zero = 3**n // 2
+    chis = 0
+    for _, a, b in _flippable_masks(order):
+        chis |= 1 << zero + weight[b] - weight[a]
+    irr = _irreducible_bits(cone_from_order(order))
     if irr != chis:
         raise VerificationError(
             f"Theorem 2 fails on a {n}-atom order: the cone's irreducible "
             "elements are not the vectors of its flippable pairs"
         )
-    return len(irr)
+    return irr.bit_count()
 
 
-def _flag_worker(order: ComparativeOrder) -> tuple[bool, int]:
-    return is_representable(order).representable, _irreducible_count(order)
+def _flag_worker(order: ComparativeOrder) -> tuple[bool, int, int]:
+    """The order's flag and irreducible count, then its ``_flippable``
+    memo, which both fill (on a worker process's copy of the order)."""
+    return is_representable(order).representable, _irreducible_count(order), order._flippable
 
 
 def _render_record(line: str, representable: Optional[bool], irr: Optional[int]) -> str:
@@ -289,15 +298,18 @@ def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None
     leaves the partial flags behind.  A checkpoint (records as in the module
     doc) is a census-order prefix: orders 0..k-1 take its k records' flags,
     orders k onward are flagged in order (``worker_map`` keeps it) and
-    appended one by one, each line built only when checked or appended."""
+    appended one by one, each line built only when checked or appended.
+    Each order takes back the ``_flippable`` memo its flagging filled, so
+    ``_annotate_edges`` reads it when worker processes did the work too."""
     total = len(census.orders)
     census.representable, census.irr_counts = [None] * total, [None] * total
     done = _read_checkpoint(checkpoint_path, census) if checkpoint_path else 0
     opened = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext()
     todo = census.orders[done:]
     with opened as sink, worker_map(_flag_worker, todo, threads, chunksize=8) as flagged:
-        for i, (rep, irr) in enumerate(flagged, done):
+        for i, (rep, irr, flippable) in enumerate(flagged, done):
             census.representable[i], census.irr_counts[i] = rep, irr
+            object.__setattr__(census.orders[i], "_flippable", flippable)
             if sink is not None:
                 sink.write(_render_record(order_to_line(census.orders[i]), rep, irr))
                 sink.flush()
@@ -353,22 +365,21 @@ def _annotate_edges(census) -> None:
 
 def brute_force_oracle(n: int) -> OrderCensus:
     """Independent census for n <= 3: filter every permutation of all 2^n
-    subsets through the ascending-singleton convention, then the validity
-    check, the dearer of the two.  Permutations not starting at the empty
-    set are exactly the empty-set-axiom failures, so they are skipped
-    without building orders."""
+    subsets through the ascending-singleton convention, read off the
+    permutation before any order is built, then the validity check.
+    Permutations not starting at the empty set are exactly the empty-set-
+    axiom failures, so they are skipped without building orders."""
     if not 1 <= n <= 3:
         raise ValueError("oracle is exhaustive over permutations only for n <= 3")
-    full = 1 << n
+    singletons = [1 << i for i in range(n)]
     orders = []
-    for perm in permutations(range(1, full)):
-        ranked = (0,) + perm
-        order = ComparativeOrder(n, ranked)
-        if singleton_relabeling(order) != tuple(range(1, n + 1)):
+    for perm in permutations(range(1, 1 << n)):
+        places = [perm.index(s) for s in singletons]
+        if places != sorted(places):
             continue
-        if not validate_order(order).ok:
-            continue
-        orders.append(order)
+        order = ComparativeOrder(n, (0,) + perm)
+        if validate_order(order).ok:
+            orders.append(order)
     return OrderCensus(n, orders)
 
 

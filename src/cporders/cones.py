@@ -10,6 +10,19 @@ shifting the set of those y by idx(x) - idx(0) gives exactly the set of sums
 {x + y}.  The D2 and D3 checks and irreducibility take a few big-integer
 operations per vector, not a loop over member pairs.
 
+An order's member set is gathered, not looped over pair by pair:
+``cone_from_order`` turns cached byte patterns of the sides of every index
+above idx(0) into lanes of ranks with ``bytes.translate``, compares up to
+3^7 lanes with one subtraction, and reads the lower half off D2.  The
+irreducible elements are a 3^n-bit set as well (``_irreducible_bits``),
+which the census compares with its flippable pairs as one int;
+``irreducible_elements`` decodes it to tuples.  A survivor of the sweep
+by small vectors gets its (pos, neg) masks from two tables of 3^(n/2)
+digit halves and ANDs one 3^n-bit set per nonzero entry.  It reads no
+per-n table of 3^n-bit sets, as D3 does: those tables (``_partner_masks``)
+hold 3^(n/2) such sets per half, ~97 MB at 12 atoms, and would stay
+cached for every n an irreducible count meets.
+
 Vectors are exposed as tuples over {-1, 0, 1}, or packed as a pair of
 bitmasks (positive part << n | negative part); a cone's packed members are
 derived from its bit set on each request.
@@ -17,8 +30,9 @@ derived from its bit set on each request.
 
 from __future__ import annotations
 
+import struct
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from typing import Iterable, Iterator
 
 from .errors import ConeAxiomError
@@ -80,17 +94,18 @@ def _ternary_tables(n: int) -> tuple[list[int], list[int], list[int]]:
 
 @cache
 def _small_vectors(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(index, pos, neg) of every vector with one or two nonzero entries."""
-    weight = _ternary_tables(n)[0]
-    zero = weight[-1]
-    atoms = [1 << i for i in range(n)]
-    out = []
-    for support in atoms + [a | b for a, b in combinations(atoms, 2)]:
-        low = support & -support
-        # each split of the support into +1 and -1 entries (two for one atom)
-        for pos in {0, low, support ^ low, support}:
-            neg = support ^ pos
-            out.append((zero + weight[pos] - weight[neg], pos, neg))
+    """(index, keep, keep2) of every vector x with one or two nonzero
+    entries: keep & keep2 is the set of y with x + y ternary, the
+    ``not_plus`` set of each +1 entry of x and ``not_minus`` of each -1
+    (the one entry's twice, for one nonzero entry)."""
+    _, not_plus, not_minus = _ternary_tables(n)
+    # (index offset, kept set) of the entries +1 and -1 at each atom
+    atoms = [((3**i, not_plus[i]), (-(3**i), not_minus[i])) for i in range(n)]
+    zero = 3**n // 2
+    out = [(zero + d, keep, keep) for signs in atoms for d, keep in signs]
+    for first, second in combinations(atoms, 2):
+        for (d, keep), (d2, keep2) in product(first, second):
+            out.append((zero + d + d2, keep, keep2))
     return tuple(out)
 
 
@@ -100,19 +115,31 @@ def _bit_text(bits: int, size: int) -> str:
     return format(bits, f"0{size}b")[::-1]
 
 
-# bit text to bytes 0 and 1, the selectors ``compress`` reads
+# bit text to bytes 0 and 1, the selectors ``compress`` reads, and flag
+# bytes back to the bit text of a set and of its complement
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_NOT_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"10")
+
+
+def _ternary_digits(count: int) -> tuple[list[int], list[int]]:
+    """``pos[j]`` and ``neg[j]``: the masks of the +1 and of the -1 entries
+    of the vector on ``count`` atoms with index j."""
+    pos, neg = [0], [0]
+    for i in range(count):
+        # the new digit i is the most significant: 0, 1, 2 is entry -1, 0, +1
+        bit = 1 << i
+        pos = pos * 2 + [p | bit for p in pos]
+        neg = [q | bit for q in neg] + neg * 2
+    return pos, neg
 
 
 def _packed_members(n: int, bits: int) -> Iterator[int]:
     """The packed vectors in the 3^n-bit set ``bits``, by index.  This
     builds a 3^n-entry table, so the cone build, irreducibles and the D3
     check never call it."""
-    table = [0]  # table[k] is the packed vector with index k
-    for i in range(n):
-        # the new digit i is the most significant: 0, 1, 2 is entry -1, 0, +1
-        neg, pos = 1 << i, 1 << n + i
-        table = [p | neg for p in table] + table + [p | pos for p in table]
+    pos, neg = _ternary_digits(n)
+    table = [p << n | q for p, q in zip(pos, neg)]  # table[k] has index k
     return compress(table, _bit_text(bits, 3**n).encode().translate(_FLAG_BYTES))
 
 
@@ -136,7 +163,7 @@ def _partner_masks(n: int, first: int, last: int) -> tuple[int, ...]:
     """``masks[j]`` is the 3^n-bit set of the y with x + y ternary in
     digits first..last - 1, for every x whose digits there spell j in base
     3 (digit first lowest); the other digits of x do not matter.  Tabled
-    as ``_packed_members`` tables vectors, one digit at a time."""
+    as ``_ternary_digits`` tables masks, one digit at a time."""
     _, not_plus, not_minus = _ternary_tables(n)
     masks = [(1 << 3**n) - 1]
     for i in range(first, last):
@@ -252,43 +279,126 @@ class DiscreteCone:
         return True
 
 
+# The cone build gathers ranks into 3-byte lanes: the rank's low byte, its
+# high byte, and a byte that the comparison clears and whose lowest bit it
+# then uses as a guard.  Ranks stay below 2^MAX_ATOMS = 2^16, so one lane
+# width serves every n.
+_LANE = 3
+# an index's low atoms (at most 7) pick its lane in a block; their masks m
+# stay below 0x80, so a rank table holds the low byte of a rank at m and
+# its high byte at 0x80 | m
+_BLOCK_ATOMS = 7
+_HIGH = 0x80
+
+
+@cache
+def _lane_patterns(b: int) -> tuple[bytes, ...]:
+    """The lane patterns of the -1 masks and of the +1 masks of the 3^b
+    vectors on b atoms, in index order (the same for every n >= b): one
+    lane [m, 0x80 | m, 0x80] per mask m, which a rank table turns into the
+    low and the high byte of the rank, then a byte the comparison clears
+    (the high byte of another rank)."""
+    pos, neg = _ternary_digits(b)
+    patterns = []
+    for masks in (neg, pos):
+        lanes = bytearray([_HIGH]) * (_LANE * len(masks))
+        lanes[::_LANE] = bytes(masks)
+        lanes[1::_LANE] = bytes(_HIGH | m for m in masks)
+        patterns.append(bytes(lanes))
+    return tuple(patterns)
+
+
+@cache
+def _lane_masks(count: int) -> tuple[int, int]:
+    """The rank bytes and the guard bit (bit 16) of ``count`` lanes."""
+    ranks = int.from_bytes(b"\xff\xff\x00" * count, "little")
+    return ranks, int.from_bytes(b"\x00\x00\x01" * count, "little")
+
+
+def _before(lanes_a: int, lanes_b: int, count: int) -> bytes:
+    """Byte j is 1 where rank j of ``lanes_a`` is at most rank j of
+    ``lanes_b``, else 0, for ``count`` lanes whose low two bytes hold a
+    rank (below 2^16) and whose third byte is ignored.  With the third
+    bytes cleared, lane j of (B | guards) - A holds 2^16 + rank_b -
+    rank_a, in [1, 2^17), so no lane borrows from the next and its third
+    byte is the guard bit."""
+    ranks, guards = _lane_masks(count)
+    diff = (lanes_b & ranks | guards) - (lanes_a & ranks)
+    return diff.to_bytes(_LANE * count, "little")[_LANE - 1 :: _LANE]
+
+
 def cone_from_order(order: ComparativeOrder) -> DiscreteCone:
     """The cone {chi(A,B) : A <= B} of a comparative probability order.
 
-    Only disjoint pairs are enumerated: chi(A,B) = chi(A\\B, B\\A), so each
-    nonzero ternary vector is realised by exactly one disjoint pair {a, b}
-    and the full 4^n pair scan would revisit the same images.  The pair is
-    met once, with b > a, as the submasks of the complement of a are walked
-    downwards.  Each member's flag goes straight into the 3^n-bit set.
+    The vector with -1 entries A and +1 entries B (disjoint) is chi(A, B),
+    a member iff A ranks before B.  Only the indices above idx(0) are
+    compared, a block of up to 3^7 at a time.  A block fixes A and B on
+    the high atoms, so ``bytes.translate`` through the rank tables of those
+    two masks turns the cached low-atom masks of A, and of B, into lanes of
+    ranks, and ``_before`` compares them all with one subtraction.  The
+    indices below idx(0) hold the negations of those above, members iff
+    those are not (D2), so the rest of the bit text is the upper half
+    reversed and complemented.
     """
     n = order.n
-    full = 1 << n
-    weight = _ternary_tables(n)[0]
-    rank = order.position
-    zero = 3**n // 2
-    flags = bytearray(b"0") * 3**n
-    # flags[k] lands on bit 3^n - 1 - k, the index of the negated vector:
-    # A before B makes chi(A,B) a member, flagged at idx(-chi(A,B)) =
-    # idx(0) + weight[a] - weight[b]
-    flags[zero] = 49  # ord("1")
-    for a in range(full):
-        comp = full - 1 - a
-        ra = rank[a]
-        before, after = zero + weight[a], zero - weight[a]
-        b = comp
-        while b > a:
-            flags[before - weight[b] if ra < rank[b] else after + weight[b]] = 49
-            b = (b - 1) & comp
+    # the low b atoms of index k spell its lane, k mod 3^b, and the other
+    # atoms its block, k div 3^b
+    b = min(n, _BLOCK_ATOMS)
+    whole = _lane_patterns(b)
+    past = _LANE * (3**b // 2 + 1)  # where the lanes past idx(0) start
+    tail = [lanes[past:] for lanes in whole]
+    high_pos, high_neg = _ternary_digits(n - b)
+    raw = struct.pack(f"<{1 << n}H", *order.position)
+    low, high = raw[::2], raw[1::2]
+    # table h holds the ranks of the masks h << b | m
+    step = 1 << b
+    tables = [
+        low[start : start + step].ljust(_HIGH, b"\x00")
+        + high[start : start + step].ljust(_HIGH, b"\x00")
+        for start in range(0, 1 << n, step)
+    ]
+    first = len(high_pos) // 2  # the block holding idx(0)
+    upper = []  # byte k - idx(0) - 1 is 1 iff index k is a member
+    for h in range(first, len(high_pos)):
+        neg_lanes, pos_lanes = tail if h == first else whole
+        lanes_a = int.from_bytes(neg_lanes.translate(tables[high_neg[h]]), "little")
+        lanes_b = int.from_bytes(pos_lanes.translate(tables[high_pos[h]]), "little")
+        upper.append(_before(lanes_a, lanes_b, len(neg_lanes) // _LANE))
+    flags = b"".join(upper)
+    # read as a binary numeral, bit k of the text is text[3^n - 1 - k]
+    text = flags.translate(_BIT_CHARS)[::-1] + b"1" + flags.translate(_NOT_BIT_CHARS)
     cone = DiscreteCone.__new__(DiscreteCone)
     try:
-        cone._store(n, int(flags, 2))
+        cone._store(n, int(text, 2))
     except ConeAxiomError as exc:  # pragma: no cover - constructor invariants
         raise ConeAxiomError(f"order does not induce a discrete cone: {exc}") from exc
     return cone
 
 
-def irreducible_elements(cone: DiscreteCone) -> frozenset[TernaryVector]:
-    """All nonzero members that are not sums of two other members.
+@cache
+def _digit_halves(n: int) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+    """``_ternary_digits`` of the low n // 2 atoms and of the others."""
+    return _ternary_digits(n // 2), _ternary_digits(n - n // 2)
+
+
+def _vectors_in(n: int, bits: int) -> Iterator[tuple[int, int, int]]:
+    """(k, pos, neg) for each index k in the 3^n-bit set ``bits``,
+    ascending: the +1 and -1 masks of the vector, read off the tables of
+    the low n // 2 digits and of the rest."""
+    half = n // 2
+    split = 3**half
+    (low_pos, low_neg), (high_pos, high_neg) = _digit_halves(n)
+    text = bin(bits)[:1:-1]  # text[k] is bit k
+    k = text.find("1")
+    while k >= 0:
+        h, j = divmod(k, split)
+        yield k, low_pos[j] | high_pos[h] << half, low_neg[j] | high_neg[h] << half
+        k = text.find("1", k + 1)
+
+
+def _irreducible_bits(cone: DiscreteCone) -> int:
+    """The 3^n-bit set of the nonzero members that are not sums of two
+    other members.
 
     w = u + v with members u, v other than w means u and v are both
     nonzero.  The members v with one or two nonzero entries settle most
@@ -307,25 +417,22 @@ def irreducible_elements(cone: DiscreteCone) -> frozenset[TernaryVector]:
     text = _bit_text(members, size)
     nonzero = members & ~(1 << zero)
     reducible = 0
-    for k, pos, neg in _small_vectors(n):
+    for k, keep, keep2 in _small_vectors(n):
         if text[k] == "1":
-            partners = _partners_in(nonzero, pos, neg, not_plus, not_minus)
-            reducible |= _translate(partners, k - zero)
+            reducible |= _translate(nonzero & keep & keep2, k - zero)
     negated = int(text, 2) & ~(1 << zero)
-    survivors = bin(nonzero & ~reducible)[:1:-1]  # survivors[k] is bit k
-    result = []
-    k = survivors.find("1")
-    while k >= 0:
-        pos = neg = 0
-        rest = k
-        for i in range(n):
-            rest, digit = divmod(rest, 3)
-            if digit == 2:
-                pos |= 1 << i
-            elif digit == 0:
-                neg |= 1 << i
+    irreducible = survivors = nonzero & ~reducible
+    for k, pos, neg in _vectors_in(n, survivors):
         partners = _partners_in(negated, pos, neg, not_plus, not_minus)
-        if not _translate(partners, k - zero) & nonzero:
-            result.append(unpack_ternary(pos << n | neg, n))
-        k = survivors.find("1", k + 1)
-    return frozenset(result)
+        if _translate(partners, k - zero) & nonzero:
+            irreducible ^= 1 << k
+    return irreducible
+
+
+def irreducible_elements(cone: DiscreteCone) -> frozenset[TernaryVector]:
+    """All nonzero members that are not sums of two other members (see
+    ``_irreducible_bits``), as tuples."""
+    n = cone.n
+    return frozenset(
+        unpack_ternary(pos << n | neg, n) for _, pos, neg in _vectors_in(n, _irreducible_bits(cone))
+    )

@@ -1,6 +1,7 @@
 """Census enumeration, the permutation-filter oracle, edges, stats, and I/O."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -34,6 +35,18 @@ from cporders.repro import random_utility_order
 from cporders.represent import is_representable
 
 
+def built_then_filtered_oracle(n):
+    """The oracle as first defined: build the order of every permutation
+    starting at the empty set, then keep those whose singletons ascend
+    (``singleton_relabeling``) and that pass ``validate_order``."""
+    orders = []
+    for perm in itertools.permutations(range(1, 1 << n)):
+        order = ComparativeOrder(n, (0,) + perm)
+        if singleton_relabeling(order) == tuple(range(1, n + 1)) and validate_order(order).ok:
+            orders.append(order)
+    return orders
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2)])
     def test_matches_and_counts(self, n, count):
@@ -41,6 +54,10 @@ class TestOracleEquivalence:
         slow = brute_force_oracle(n)
         assert {o.ranked for o in fast.orders} == {o.ranked for o in slow.orders}
         assert len(fast.orders) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_early_filter_keeps_the_orders_and_their_order(self, n):
+        assert brute_force_oracle(n).orders == built_then_filtered_oracle(n)
 
 
 class TestGeneratorContract:
@@ -108,11 +125,10 @@ class TestCensusInvariants:
 
 
 def drop_one_irreducible(monkeypatch, module):
-    """Make ``module.irreducible_elements`` lose one element of each cone."""
-    real = module.irreducible_elements
-    monkeypatch.setattr(
-        module, "irreducible_elements", lambda cone: frozenset(sorted(real(cone))[1:])
-    )
+    """Make ``module._irreducible_bits`` lose one element of each cone: its
+    lowest set bit."""
+    real = module._irreducible_bits
+    monkeypatch.setattr(module, "_irreducible_bits", lambda cone: (bits := real(cone)) & bits - 1)
 
 
 class TestTheorem2Guard:
@@ -471,6 +487,15 @@ class TestFlagWorkers:
         assert pooled.irr_counts == n4_census.irr_counts
         for order in pooled.orders:
             assert order_from_utilities(is_representable(order).utilities) == order
+
+    def test_pool_passes_the_flippable_memo_back(self):
+        # workers flag pickled copies; each census order takes its memo
+        # back, so the edge stage walks each flippable pair once
+        one = enumerate_orders(4, with_edges=False, threads=1)
+        two = enumerate_orders(4, with_edges=False, threads=2)
+        memos = [o._flippable for o in one.orders]
+        assert None not in memos
+        assert [o._flippable for o in two.orders] == memos
 
     def test_no_order_lines_without_a_checkpoint(self, monkeypatch, n4_census):
         def refuse(order):

@@ -1,12 +1,16 @@
 """Discrete cones, characteristic vectors, irreducible elements."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from cporders.cones import (
     DiscreteCone,
+    _before,
+    _irreducible_bits,
     _partner_masks,
     _partners_in,
     _ternary_tables,
@@ -20,11 +24,15 @@ from cporders.census import enumerate_orders
 from cporders.errors import ConeAxiomError
 from cporders.repro import random_utility_order
 from cporders.orders import (
+    ComparativeOrder,
     Subset,
     lexicographic_utilities,
     maclagan_utilities,
+    order_from_line,
     order_from_utilities,
 )
+
+NONREP5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "nonrep5.json"
 
 
 def brute_force_irreducibles(cone):
@@ -61,6 +69,43 @@ def disjoint_pair_members(order):
             if not a & b:
                 packed.add(b << n | a if rank[a] < rank[b] else a << n | b)
     return packed
+
+
+def per_pair_cone_bits(order):
+    """The cone's 3^n-bit member set by the per-pair loop that
+    ``cone_from_order`` ran before its block gathers: each disjoint pair
+    {a, b}, b > a, met as the submasks of the complement of a are walked
+    downwards, flags whichever of chi(a, b) and chi(b, a) is a member."""
+    n, full = order.n, 1 << order.n
+    weight = _ternary_tables(n)[0]
+    rank = order.position
+    zero = 3**n // 2
+    flags = bytearray(b"0") * 3**n
+    # flags[k] lands on bit 3^n - 1 - k, the index of the negated vector:
+    # A before B makes chi(A,B) a member, flagged at idx(-chi(A,B)) =
+    # idx(0) + weight[a] - weight[b]
+    flags[zero] = 49  # ord("1")
+    for a in range(full):
+        comp = full - 1 - a
+        ra = rank[a]
+        before, after = zero + weight[a], zero - weight[a]
+        b = comp
+        while b > a:
+            flags[before - weight[b] if ra < rank[b] else after + weight[b]] = 49
+            b = (b - 1) & comp
+    return int(flags, 2)
+
+
+def index_set(vectors, n):
+    """The 3^n-bit set of the indices of ``vectors``."""
+    return sum(1 << sum((e + 1) * 3**i for i, e in enumerate(v)) for v in vectors)
+
+
+def lift(order, k):
+    """Lexicographic product: k new atoms compared first, then ``order``."""
+    n, pos = order.n, order.position
+    ranked = sorted(range(1 << (n + k)), key=lambda m: (m >> n, pos[m & ((1 << n) - 1)]))
+    return ComparativeOrder(n + k, ranked)
 
 
 def member_tuples(cone):
@@ -214,6 +259,50 @@ class TestConeFromOrder:
             DiscreteCone(2, [0, 4, 8, 3, stray])
 
 
+class TestBlockGathers:
+    """``cone_from_order`` compares rank lanes a block at a time; its member
+    set must equal the per-pair loop's, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_orders(self, n):
+        rng = random.Random(900 + n)
+        for _ in range(3 if n <= 9 else 1):
+            order = random_utility_order(n, rng)
+            assert cone_from_order(order)._bits == per_pair_cone_bits(order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_census_orders(self, n):
+        # all of P_n*, the 30 nonrepresentable orders of n = 5 among them
+        for order in enumerate_orders(n, with_flags=False, with_edges=False).orders:
+            assert cone_from_order(order)._bits == per_pair_cone_bits(order)
+
+    @pytest.mark.parametrize("extra", [3, 4, 5])
+    def test_lifts_of_stored_nonrepresentable_orders(self, extra):
+        records = json.loads(NONREP5.read_text(encoding="utf-8"))
+        assert records
+        for record in records:
+            order = lift(order_from_line(record["order"]), extra)
+            assert cone_from_order(order)._bits == per_pair_cone_bits(order)
+
+    def test_lanes_at_the_rank_limit(self):
+        # 16 atoms give ranks up to 2^16 - 1; the third byte of each lane
+        # (whatever the rank tables put there) must not matter
+        rng = random.Random(16)
+        top = (1 << 16) - 1
+        edge = [0, 1, 255, 256, top - 256, top - 1, top]
+        pairs = [(a, b) for a in edge for b in edge]
+        pairs += [(rng.randint(top - 300, top), rng.randint(top - 300, top)) for _ in range(500)]
+        pairs += [(rng.randint(0, top), rng.randint(0, top)) for _ in range(500)]
+
+        def lanes(ranks):
+            raw = b"".join(r.to_bytes(2, "little") + bytes([rng.randrange(256)]) for r in ranks)
+            return int.from_bytes(raw, "little")
+
+        ranks_a, ranks_b = zip(*pairs)
+        flags = _before(lanes(ranks_a), lanes(ranks_b), len(pairs))
+        assert flags == bytes(a <= b for a, b in pairs)
+
+
 class TestIrreducibles:
     def test_lexicographic_n3_exact(self):
         cone = cone_from_order(order_from_utilities((1, 2, 4)))
@@ -322,7 +411,9 @@ class TestIrreduciblesAgainstBruteForce:
             x, y = rng.sample(pairs, 2)
             broken = DiscreteCone(n, [p for p in packed if p != x] + [(y & low) << n | y >> n])
             assert not broken.check_d2_exhaustive()
-            assert irreducible_elements(broken) == brute_force_irreducibles(broken)
+            want = brute_force_irreducibles(broken)
+            assert irreducible_elements(broken) == want
+            assert _irreducible_bits(broken) == index_set(want, n)
 
     def test_cone_breaking_d2(self):
         # -e_1 replaces (-1,1,0): both +-e_1 are members and neither of
@@ -335,3 +426,12 @@ class TestIrreduciblesAgainstBruteForce:
         irr = irreducible_elements(broken)
         assert irr == brute_force_irreducibles(broken)
         assert irr != irreducible_elements(cone)
+        assert _irreducible_bits(broken) == index_set(irr, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bits_on_swapped_cones(self, n):
+        rng = random.Random(700 + n)
+        for swap in (None, "negate", "other"):
+            for _ in range(6):
+                cone = swapped_cone(cone_from_order(random_utility_order(n, rng)), rng, swap)
+                assert _irreducible_bits(cone) == index_set(brute_force_irreducibles(cone), n)
