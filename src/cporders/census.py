@@ -17,6 +17,18 @@ prefix of a valid order obeys the rule, and a full sequence that obeys it
 is union consistent, so a prefix is cut as soon as its placed subsets
 break the axiom; the n = 6 census (169,444 orders) completes.
 
+Flags are settled along the flip walk that builds the edges.  The
+representable orders are the regions of the Fine-Gill arrangement, and a
+flip crosses a facet between two of them, so utilities for one order,
+moved along the line that crosses the flipped pair's hyperplane, often
+land in its neighbour's region (``represent.crossing_hint``).  Census
+order 0 is decided by the LP; from its utilities the walk hands a hint to
+each neighbour the line reaches, and on from there.  Every flag still
+comes from ``is_representable``, which accepts a hint only when
+``check_certificate`` passes it and otherwise solves the LP, so the hints
+decide which orders reach the LP (the nonrepresentable ones and the few
+that no line reaches: 33 of 546 at n = 5), never a flag.
+
 Census files and flag checkpoints hold one JSON record per line, written
 by ``_render_record`` and read by ``_records``: the order line, with
 ``representable`` and ``irr`` each on every record or on none.
@@ -33,9 +45,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import islice, permutations, repeat
 from typing import Optional
 
 from .cones import _irreducible_bits, _ternary_tables, cone_from_order
@@ -44,7 +57,7 @@ from .flips import _flippable_masks, _flipped
 from .orders import (
     ComparativeOrder, order_from_line, order_to_line, subset_sums, validate_order,
 )
-from .represent import is_representable
+from .represent import crossing_hint, is_representable
 
 
 @dataclass
@@ -165,9 +178,14 @@ def enumerate_orders(
     deadline = time.monotonic() + budget if budget is not None else None
     census = OrderCensus(n, _generate_orders(n, deadline))
     if with_flags:
-        _annotate_flags(census, deadline, checkpoint_path, threads=threads)
-    if with_edges:
-        _annotate_edges(census)
+        # the only LP before the flag stage: its utilities seed the hints
+        seed = is_representable(census.orders[0]).utilities
+        hints = _annotate_edges(census, seed, deadline)
+        if not with_edges:
+            census.edges = None
+        _annotate_flags(census, deadline, checkpoint_path, threads=threads, hints=hints)
+    elif with_edges:
+        _annotate_edges(census, deadline=deadline)
     return census
 
 
@@ -175,9 +193,11 @@ def enumerate_orders(
 def worker_map(fn, items, threads: int, chunksize: int):
     """``fn`` over ``items`` in order: ``pool.map`` over ``threads`` worker
     processes, at most one per CPU, when that is more than one, a plain
-    ``map`` otherwise.  Leaving the block cancels the chunks not yet
-    started and shuts the pool down, so a caller may stop taking results
-    early (at its own deadline)."""
+    ``map`` otherwise.  The pool takes ``items`` a batch at a time, one
+    batch ahead of the results read, so a long lazy ``items`` is never
+    held whole.  Leaving the block cancels the chunks not yet started and
+    shuts the pool down, so a caller may stop taking results early (at its
+    own deadline)."""
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         yield map(fn, items)
@@ -186,9 +206,23 @@ def worker_map(fn, items, threads: int, chunksize: int):
 
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        yield pool.map(fn, items, chunksize=chunksize)
+        yield _batched_map(pool, fn, iter(items), chunksize, 64 * chunksize * threads)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _batched_map(pool, fn, items, chunksize: int, size: int):
+    """``pool.map`` of ``fn`` over the iterator ``items``, ``size`` items a
+    batch; the next batch is handed to the pool before this one's results
+    are yielded, so the workers do not wait at a batch boundary."""
+    batch = pool.map(fn, list(islice(items, size)), chunksize=chunksize)
+    while True:
+        following = list(islice(items, size))
+        ahead = pool.map(fn, following, chunksize=chunksize) if following else None
+        yield from batch
+        if ahead is None:
+            return
+        batch = ahead
 
 
 def _irreducible_count(order: ComparativeOrder) -> int:
@@ -215,10 +249,11 @@ def _irreducible_count(order: ComparativeOrder) -> int:
     return irr.bit_count()
 
 
-def _flag_worker(order: ComparativeOrder) -> tuple[bool, int, int]:
-    """The order's flag and irreducible count, then its ``_flippable``
-    memo, which both fill (on a worker process's copy of the order)."""
-    return is_representable(order).representable, _irreducible_count(order), order._flippable
+def _flag_worker(job: tuple[ComparativeOrder, Optional[tuple[int, ...]]]) -> tuple[bool, int]:
+    """The flag of an (order, hint) job, from ``is_representable`` with the
+    hint, and the order's irreducible count."""
+    order, hint = job
+    return is_representable(order, hint=hint).representable, _irreducible_count(order)
 
 
 def _render_record(line: str, representable: Optional[bool], irr: Optional[int]) -> str:
@@ -293,23 +328,28 @@ def _read_checkpoint(path, census) -> int:
     return k
 
 
-def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1) -> None:
+def _annotate_flags(census, deadline, checkpoint_path, threads: int = 1, hints=None) -> None:
     """Fill the flags and irreducible counts in place, so an exhausted budget
     leaves the partial flags behind.  A checkpoint (records as in the module
     doc) is a census-order prefix: orders 0..k-1 take its k records' flags,
     orders k onward are flagged in order (``worker_map`` keeps it) and
     appended one by one, each line built only when checked or appended.
-    Each order takes back the ``_flippable`` memo its flagging filled, so
-    ``_annotate_edges`` reads it when worker processes did the work too."""
+
+    Each flag is ``is_representable(order, hint=hints[i])``, whose hint is
+    accepted only when ``check_certificate`` passes it: a hint from the
+    flip walk (``_annotate_edges``) settles its order without an LP, and an
+    order without one, or with a wrong one, is decided by the LP.  So the
+    hints change which orders reach the LP, never a flag.  The jobs are
+    made one at a time, as the workers take them."""
     total = len(census.orders)
     census.representable, census.irr_counts = [None] * total, [None] * total
     done = _read_checkpoint(checkpoint_path, census) if checkpoint_path else 0
     opened = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext()
-    todo = census.orders[done:]
-    with opened as sink, worker_map(_flag_worker, todo, threads, chunksize=8) as flagged:
-        for i, (rep, irr, flippable) in enumerate(flagged, done):
+    todo = islice(census.orders, done, None)
+    jobs = zip(todo, islice(hints, done, None) if hints else repeat(None))
+    with opened as sink, worker_map(_flag_worker, jobs, threads, chunksize=8) as flagged:
+        for i, (rep, irr) in enumerate(flagged, done):
             census.representable[i], census.irr_counts[i] = rep, irr
-            object.__setattr__(census.orders[i], "_flippable", flippable)
             if sink is not None:
                 sink.write(_render_record(order_to_line(census.orders[i]), rep, irr))
                 sink.flush()
@@ -335,10 +375,26 @@ def relabel_order(order: ComparativeOrder, perm: tuple[int, ...]) -> Comparative
     return ComparativeOrder(order.n, [image[mask] for mask in order.ranked])
 
 
-def _annotate_edges(census) -> None:
-    """Fill ``census.edges`` row by row.  A flip whose order is not in the
-    census, as it is or relabeled so its singletons ascend, raises
-    VerificationError with the rows before it in place.
+def _annotate_edges(census, seed=None, deadline: Optional[float] = None) -> list:
+    """Fill ``census.edges`` row by row, in ``_flippable_masks`` order, and
+    return a hint per census order: integer utilities that represent it, or
+    None.  A flip whose order is not in the census, as it is or relabeled
+    so its singletons ascend, raises VerificationError; ``census.edges``
+    then keeps the rows of the census orders before the failing one (None
+    for those not yet visited).  Past ``deadline``, checked as the DFS
+    checks it, ResourceError carries the census as it stands.
+
+    Without a ``seed`` the orders are visited in census order and no hint
+    is made.  A seed, utilities that represent census order 0, makes the
+    walk a flip walk first: the orders with a hint are visited from a
+    queue, and each one's hint gives every not-yet-hinted neighbour a
+    ``crossing_hint``.  The orders no hint reached (the nonrepresentable
+    ones and a few the lines miss) are then visited in census order.  Only
+    a neighbour found as it is takes a hint.  One found by relabeling is
+    the flip of two singletons {i} < {i + 1}: it swaps every translate
+    ({i}|D, {i + 1}|D), so renaming i and i + 1 gives back the order
+    itself, a loop.  A hint re-derives its order by construction, and the
+    flag stage still checks each one (see ``_annotate_flags``).
 
     The neighbours come from ``flips._flipped``, without ``flip``'s
     ``validate_order`` guard: a neighbour found in the index equals a
@@ -346,9 +402,28 @@ def _annotate_edges(census) -> None:
     ``validate_order`` when it was generated or read (``read_census``
     checks each record); validity does not change under relabeling.  A
     neighbour the index misses raises, valid or not."""
-    index = {o.ranked: i for i, o in enumerate(census.orders)}
-    edges = census.edges = []
-    for order in census.orders:
+    orders = census.orders
+    total = len(orders)
+    index = {o.ranked: i for i, o in enumerate(orders)}
+    edges = census.edges = [None] * total
+    hints: list = [None] * total
+    queue = deque()
+    if seed is not None:
+        hints[0] = tuple(seed)
+        queue.append(0)
+
+    def visiting():
+        while queue:
+            yield queue.popleft()
+        yield from (i for i in range(total) if edges[i] is None)
+
+    for visited, i in enumerate(visiting(), 1):
+        if deadline is not None and visited % 64 == 0 and time.monotonic() > deadline:
+            raise ResourceError(
+                f"flip walk of n={census.n} exceeded its budget after {visited} of {total} orders",
+                partial=census,
+            )
+        order, utilities = orders[i], hints[i]
         row: list[int] = []
         for _, a, b in _flippable_masks(order):
             if not a:
@@ -357,10 +432,16 @@ def _annotate_edges(census) -> None:
             j = index.get(neighbor.ranked)
             if j is None:
                 j = index.get(relabel_order(neighbor, singleton_relabeling(neighbor)).ranked)
-            if j is None:
-                raise VerificationError(f"a flip of census order {len(edges)} left the census")
+                if j is None:
+                    del edges[i:]
+                    raise VerificationError(f"a flip of census order {i} left the census")
+            elif utilities is not None and hints[j] is None:
+                hints[j] = crossing_hint(utilities, a, b, neighbor)
+                if hints[j] is not None:
+                    queue.append(j)
             row.append(j)
-        edges.append(row)
+        edges[i] = row
+    return hints
 
 
 def brute_force_oracle(n: int) -> OrderCensus:

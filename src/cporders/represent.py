@@ -32,6 +32,15 @@ u_n]} or {"verdict": "nonrepresentable", "transform": {"As": [[atoms], ...],
 "Bs": [[atoms], ...]}}, atoms numbered from 1; ``Certificate.from_json``
 reads back exactly what ``Certificate.to_json`` writes.
 
+Two hints, candidate utilities for a flip neighbour of an order with
+known utilities u, let ``is_representable`` skip the LP when
+``check_certificate`` passes them.  ``neighbor_witness_hint`` serves
+``unfriendly_flips`` (so ``verify-fibonacci``): it needs a flipped pair at
+gap u(B) - u(A) = 1, as the Fibonacci constructions have, and costs O(n).
+``crossing_hint`` serves the census flags (``census._annotate_edges``): it
+takes any u, walks the line u - s (chi(B) - chi(A)) into the neighbour's
+region, and returns None when the line misses it; it costs 2^n sums.
+
 On an order carrying rank lanes (only the flip neighbours inside
 ``unfriendly_flips`` do; see ``orders._laned_copy``), utilities are
 checked without their 2^n subset sums.  Lane k of p = sum_i u_i *
@@ -311,6 +320,76 @@ def neighbor_witness_hint(
     if sum(s * u for s, u in zip(sign, utilities)) != 1:  # the gap u(B) - u(A)
         return None
     return tuple((2 * w - 1) * u - 2 * s for s, u in zip(sign, utilities))
+
+
+def _simplest_between(ln: int, ld: int, hn: int, hd: Optional[int]) -> tuple[int, int]:
+    """(p, q) with ln/ld < p/q < hn/hd and q > 0 least, for ld > 0, hd > 0
+    and ln/ld < hn/hd; hd None means no upper bound.  A point strictly
+    between lo and hi with floor(lo) + 1 >= hi lies in (f, f + 1), f =
+    floor(lo), and its simplest form is f plus the reciprocal of the
+    simplest point between the reciprocals of hi - f and lo - f."""
+    whole = ln // ld + 1
+    if hd is None or whole * hd < hn:
+        return whole, 1
+    whole -= 1
+    rest = ln - whole * ld  # lo - f = rest / ld, in [0, 1)
+    p, q = _simplest_between(hd, hn - whole * hd, ld, rest or None)
+    return whole * p + q, p
+
+
+def crossing_hint(
+    utilities: Sequence[int], a: int, b: int, neighbor: ComparativeOrder
+) -> Optional[tuple[int, ...]]:
+    """Integer utilities representing ``neighbor``, the flip of the
+    flippable pair of masks (a, b) of an order that ``utilities``
+    represent, found on the line u - s sigma, sigma = chi(B) - chi(A); None
+    when the line misses the neighbour's region.
+
+    Each adjacent gap (S, T) of ``neighbor`` (which ranks the empty set
+    first, as every flip does) is c0 - s d at s, with c0 = u(T) - u(S) and
+    d = sigma(T) - sigma(S).  The gaps are all positive on an open
+    interval of s, bounded by the fractions c0 / d and compared by
+    cross-multiplying; an empty interval returns None as soon as it shows.
+    Else the point p/q of least denominator in its middle third (above
+    twice its lower end if it has no upper end) gives q u - p sigma,
+    divided by its gcd, whose subset sums rise along ``neighbor.ranked``
+    from 0: they re-derive it.  So a nonrepresentable neighbour never gets
+    a hint.  A point away from the ends keeps the next lines from it inside
+    more regions: on the n = 5 census walk, 514 of the 516 representable
+    orders get a hint, against 507 from the least denominator anywhere
+    inside.  Costs 2^n sums, against O(n) for ``neighbor_witness_hint``.
+    """
+    n = len(utilities)
+    sign = [(b >> i & 1) - (a >> i & 1) for i in range(n)]
+    sums, sigma = subset_sums(utilities), subset_sums(sign)
+    ln, ld, hn, hd = 0, 1, 0, None  # s in (ln/ld, hn/hd); the flipped gaps need s > 0
+    last_u = last_s = 0
+    for mask in neighbor.ranked[1:]:
+        u, s = sums[mask], sigma[mask]
+        c0, d = u - last_u, s - last_s
+        last_u, last_s = u, s
+        if d > 0:  # s < c0 / d
+            if hd is not None and c0 * hd >= hn * d:
+                continue
+            hn, hd = c0, d
+        elif d < 0:  # s > c0 / d
+            if c0 * ld >= ln * d:
+                continue
+            ln, ld = -c0, -d
+        elif c0 > 0:
+            continue
+        else:
+            return None
+        if hd is not None and hn * ld <= ln * hd:
+            return None
+    if hd is None:  # past twice the lower end
+        p, q = _simplest_between(2 * ln, ld, 0, None)
+    else:  # in the middle third
+        third = hn * ld - ln * hd
+        p, q = _simplest_between(3 * ln * hd + third, 3 * ld * hd, 3 * hn * ld - third, 3 * ld * hd)
+    hint = [q * u - p * s for u, s in zip(utilities, sign)]
+    shrink = gcd(*hint)
+    return tuple(v // shrink for v in hint)
 
 
 def unfriendly_flips(

@@ -14,7 +14,7 @@ work.
 from __future__ import annotations
 
 import random
-import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -33,18 +33,13 @@ from .census import (
     brute_force_oracle,
     census_stats,
     enumerate_orders,
-    worker_map,
+    facet_counts_from_census,
 )
 from .cones import cone_from_order
 from .errors import ResourceError, TieError, VerificationError
 from .flips import _flippable_masks
 from .orders import ComparativeOrder, maclagan_utilities, order_from_utilities
-from .represent import (
-    check_trading_transform,
-    find_trading_transform,
-    is_representable,
-    unfriendly_flips,
-)
+from .represent import check_trading_transform, find_trading_transform
 from .sequences import fibonacci
 
 FIB_BASE_RANGE = range(3, 12)  # base n; orders live on 4..12 atoms
@@ -207,19 +202,19 @@ def criterion_5_census_5(ctx: ReproContext) -> str:
     )
 
 
-def _irreducible_counts(
-    orders: list[ComparativeOrder], deadline: float, threads: int
-) -> list[int]:
-    """Irreducible-element counts of the orders' cones, in order, over
-    ``threads`` worker processes when threads > 1.  The deadline is checked
-    before each result is taken; past it, the counts so far are returned."""
-    counts = []
-    with worker_map(_irreducible_count, orders, threads, chunksize=256) as results:
-        for _ in orders:
-            if time.monotonic() > deadline:
-                break
-            counts.append(next(results))
-    return counts
+# the n = 6 census (Maclagan 1999; Fine & Gill 1976): the most flippable
+# pairs, the representable orders, orders by irreducible count and
+# representable orders by facet count
+CENSUS_6 = {
+    "m": 13,
+    "representable": 124187,
+    "irr_histogram": {
+        5: 107, 6: 14699, 7: 46626, 8: 56707, 9: 35555, 10: 12763, 11: 2633, 12: 334, 13: 20
+    },
+    "facet_histogram": {
+        6: 37863, 7: 45633, 8: 25996, 9: 10280, 10: 3400, 11: 819, 12: 176, 13: 20
+    },
+}
 
 
 @criterion(6, "census-6")
@@ -228,35 +223,43 @@ def criterion_6_census_6(ctx: ReproContext) -> str:
     if budget is None or budget <= 0:
         # the golden repro report holds this detail byte for byte
         raise Skipped("not attempted (long-running; set CPOL_N6_BUDGET seconds to enable)")
-    # one deadline for generation and the cone stage
-    deadline = time.monotonic() + budget
+    # one budget for generation, the flip walk and the flag stage
     try:
-        census = enumerate_orders(6, with_flags=False, with_edges=False, budget=budget)
+        census = enumerate_orders(6, budget=budget, threads=ctx.threads)
     except ResourceError as exc:
-        done = len(exc.partial.orders) if exc.partial is not None else 0
-        raise Skipped(
-            f"budget of {budget:.0f}s exhausted after {done} orders (reported, not failed)"
-        ) from None
-    irr_counts = _irreducible_counts(census.orders, deadline, ctx.threads)
-    if len(irr_counts) < len(census.orders):
-        raise Skipped(
-            f"budget of {budget:.0f}s exhausted after {len(irr_counts)} of "
-            f"{len(census.orders)} cones (reported, not failed)"
-        )
-    m = max(irr_counts)
-    if m != 13:
-        raise VerificationError(f"m(6)={m} != 13")
+        partial = exc.partial
+        flags = partial.representable if partial is not None else None
+        if flags is None:
+            done = f"{len(partial.orders) if partial is not None else 0} orders"
+        else:
+            done = f"{len(flags) - flags.count(None)} of {len(flags)} census flags"
+        raise Skipped(f"budget of {budget:.0f}s exhausted after {done} (reported, not failed)")
+    stats = census_stats(census)
+    m = stats.max_flippable
+    if m != CENSUS_6["m"]:
+        raise VerificationError(f"m(6)={m} != {CENSUS_6['m']}")
     # facets never exceed flippable pairs (= irreducible elements, Theorem 2),
     # so M(6) = m(6) once every max-flip order is representable with all
     # flips friendly
-    for order, irr in zip(census.orders, irr_counts):
-        if irr == m:
-            cert = is_representable(order)
-            if not cert.representable or unfriendly_flips(order, cert.utilities):
-                raise VerificationError(
-                    "a 13-flip order is nonrepresentable or has an unfriendly flip"
-                )
-    return f"{len(census.orders)} orders, m(6)=M(6)=13 (max-flip orders all friendly)"
+    if not stats.max_irr_all_friendly:
+        raise VerificationError(f"a {m}-flip order is nonrepresentable or has an unfriendly flip")
+    facets = Counter(f for f in facet_counts_from_census(census) if f is not None)
+    got = {
+        "representable": stats.representable_count,
+        "irr_histogram": stats.irr_histogram,
+        "facet_histogram": dict(facets),
+    }
+    for key, value in got.items():
+        if value != CENSUS_6[key]:
+            raise VerificationError(f"n=6 {key.replace('_', ' ')} {value} != {CENSUS_6[key]}")
+    components = (stats.full_graph_components, stats.representable_components)
+    if components != (1, 1):
+        raise VerificationError(f"flip graph components {components} != (1, 1)")
+    return (
+        f"{stats.order_count} orders, {stats.representable_count} representable, "
+        f"m(6)=M(6)={m} (max-flip orders all friendly), min facets {min(facets)}, "
+        "one component in both flip graphs"
+    )
 
 
 @criterion(7, "flippable-irreducible")

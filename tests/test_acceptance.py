@@ -1,16 +1,19 @@
 """Acceptance gate: one test per criterion, each printing its pass/fail line.
 
-Criterion 6 (the n=6 census: 169,444 orders, then one cone scan per order)
-takes minutes, more than this suite should, so it is budget-gated: the ``ctx``
-fixture passes the seconds in this suite's own CPOL_N6_BUDGET environment
-variable as ``n6_budget`` (the package reads no environment; the CLI takes
-``--n6-budget``), and the criterion reports SKIP unless that is set high
-enough for both stages.
+Criterion 6 (the n=6 census of 169,444 orders with flags, cone counts and
+edges) takes about a minute, more than this suite should, so it is
+budget-gated: the ``ctx`` fixture passes the seconds in this suite's own
+CPOL_N6_BUDGET environment variable as ``n6_budget`` (the package reads no
+environment; the CLI takes ``--n6-budget``), and the criterion reports SKIP
+unless that is set high enough for the whole census.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import dataclasses
 import os
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -83,39 +86,66 @@ def test_criterion_12_adjacency_budget(ctx):
     report(repro.criterion_12_adjacency_budget(ctx))
 
 
+def n5_expectations(census):
+    """Criterion 6's expected census figures, read off the n=5 census."""
+    stats = repro.census_stats(census)
+    facets = Counter(f for f in repro.facet_counts_from_census(census) if f is not None)
+    return {
+        "m": stats.max_flippable,
+        "representable": stats.representable_count,
+        "irr_histogram": stats.irr_histogram,
+        "facet_histogram": dict(facets),
+    }
+
+
 def test_criterion_06_runs_the_max_flip_shortcut(n5_census, monkeypatch):
-    # the n=5 census without flags or edges stands in for the n=6 one
-    bare = repro.OrderCensus(5, n5_census.orders)
-    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
+    # the n=5 census stands in for the n=6 one: its most flippable pairs
+    # are 8, and m(6) is checked first
+    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: n5_census)
     result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1.0))
     assert not result.passed and result.detail == "m(6)=8 != 13"
 
 
 def test_criterion_06_decides_M6_on_the_max_flip_orders(n5_census, monkeypatch):
-    # five extra irreducibles per cone lift the n=5 maximum 8 to 13, so the
-    # nine 8-flip orders (all friendly) play the 13-flip orders
-    bare = repro.OrderCensus(5, n5_census.orders)
-    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
-    # the cone stage counts through repro._irreducible_count
-    real_count = repro._irreducible_count
-    monkeypatch.setattr(repro, "_irreducible_count", lambda order: real_count(order) + 5)
-    decided = []
-    real_decide = repro.is_representable
-
-    def decide(order):
-        decided.append(order)
-        return real_decide(order)
-
-    monkeypatch.setattr(repro, "is_representable", decide)
+    # with the n=5 figures expected, the n=5 census passes; M(6) = m(6) rests
+    # on every max-flip order being representable with all flips friendly
+    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: n5_census)
+    monkeypatch.setattr(repro, "CENSUS_6", n5_expectations(n5_census))
     ctx = repro.ReproContext(n6_budget=60.0)
     result = repro.criterion_6_census_6(ctx)
     assert result.passed and not result.skipped
-    assert result.detail == "546 orders, m(6)=M(6)=13 (max-flip orders all friendly)"
-    assert len(decided) == n5_census.irr_counts.count(8) == 9
-    monkeypatch.setattr(repro, "unfriendly_flips", lambda order, utilities: [None])
+    assert result.detail == (
+        "546 orders, 516 representable, m(6)=M(6)=8 (max-flip orders all friendly), "
+        "min facets 5, one component in both flip graphs"
+    )
+    real_stats = repro.census_stats
+    monkeypatch.setattr(
+        repro,
+        "census_stats",
+        lambda census: dataclasses.replace(real_stats(census), max_irr_all_friendly=False),
+    )
     result = repro.criterion_6_census_6(ctx)
     assert not result.passed
-    assert result.detail == "a 13-flip order is nonrepresentable or has an unfriendly flip"
+    assert result.detail == "a 8-flip order is nonrepresentable or has an unfriendly flip"
+
+
+@pytest.mark.parametrize(
+    "key, detail",
+    [
+        ("representable", "n=6 representable 516 != 517"),
+        ("facet_histogram", "n=6 facet histogram {"),
+    ],
+)
+def test_criterion_06_checks_the_census_figures(n5_census, monkeypatch, key, detail):
+    expected = n5_expectations(n5_census)
+    if key == "representable":
+        expected[key] += 1
+    else:
+        expected[key] = {**expected[key], 5: expected[key][5] + 1}
+    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: n5_census)
+    monkeypatch.setattr(repro, "CENSUS_6", expected)
+    result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=60.0))
+    assert not result.passed and result.detail.startswith(detail)
 
 
 def test_a_lost_irreducible_fails_the_census_criteria(monkeypatch):
@@ -127,20 +157,44 @@ def test_a_lost_irreducible_fails_the_census_criteria(monkeypatch):
     assert status[4] == status[7] == "FAIL"
 
 
-def test_criterion_06_budget_covers_the_cone_stage(n5_census, monkeypatch):
-    bare = repro.OrderCensus(5, n5_census.orders)
-    monkeypatch.setattr(repro, "enumerate_orders", lambda *args, **kwargs: bare)
+def test_criterion_06_budget_covers_the_cone_stage(monkeypatch):
+    # one budget runs through generation and the flag stage, which counts
+    # each order's cone; both report SKIP with what was done
     result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1e-9))
     assert result.skipped and result.passed
-    assert result.detail == "budget of 0s exhausted after 0 of 546 cones (reported, not failed)"
+    pattern = r"budget of 0s exhausted after \d+ orders \(reported, not failed\)"
+    assert re.fullmatch(pattern, result.detail)
+
+    def flags_past_the_deadline(n, budget, threads):
+        census_5 = census.enumerate_orders(5, with_flags=False, with_edges=False)
+        census._annotate_flags(census_5, time.monotonic(), None)
+
+    monkeypatch.setattr(repro, "enumerate_orders", flags_past_the_deadline)
+    result = repro.criterion_6_census_6(repro.ReproContext(n6_budget=1e-9))
+    assert result.skipped and result.passed
+    detail = "budget of 0s exhausted after 1 of 546 census flags (reported, not failed)"
+    assert result.detail == detail
 
 
-def test_criterion_06_cone_counts_agree_across_workers(n5_census):
-    later = time.monotonic() + 600
-    one = repro._irreducible_counts(n5_census.orders, later, threads=1)
-    two = repro._irreducible_counts(n5_census.orders, later, threads=2)
-    assert one == two == n5_census.irr_counts
-    assert repro._irreducible_counts(n5_census.orders, time.monotonic() - 1, threads=2) == []
+def test_criterion_06_cone_counts_agree_across_workers(n5_census, monkeypatch):
+    # criterion 6 takes the census route with the context's workers, and
+    # the counts and flags that come back through the pool are the
+    # one-process ones
+    asked = []
+
+    def n5_route(n, budget, threads):
+        asked.append(threads)
+        return census.enumerate_orders(5, budget=budget, threads=threads)
+
+    monkeypatch.setattr(repro, "enumerate_orders", n5_route)
+    monkeypatch.setattr(repro, "CENSUS_6", n5_expectations(n5_census))
+    for threads in (1, 2):
+        result = repro.criterion_6_census_6(repro.ReproContext(threads=threads, n6_budget=600.0))
+        assert result.passed and not result.skipped, result.detail
+    assert asked == [1, 2]
+    pooled = census.enumerate_orders(5, threads=2)
+    assert pooled.irr_counts == n5_census.irr_counts
+    assert pooled.representable == n5_census.representable
 
 
 def test_registry_holds_the_module_criteria():

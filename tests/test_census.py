@@ -8,6 +8,7 @@ import time
 import pytest
 
 from cporders import census as census_module
+from cporders import represent as represent_module
 from cporders.census import (
     OrderCensus,
     _annotate_edges,
@@ -32,7 +33,7 @@ from cporders.orders import (
     validate_order,
 )
 from cporders.repro import random_utility_order
-from cporders.represent import is_representable
+from cporders.represent import crossing_hint, is_representable
 
 
 def built_then_filtered_oracle(n):
@@ -406,7 +407,7 @@ class TestPersistence:
             census_module, "order_to_line", lambda o: events.append("line") or to_line(o)
         )
         monkeypatch.setattr(
-            census_module, "_flag_worker", lambda o: events.append("flag") or flag(o)
+            census_module, "_flag_worker", lambda job: events.append("flag") or flag(job)
         )
         enumerate_orders(4, with_edges=False, checkpoint_path=check)
         assert events == ["line"] * 5 + ["flag", "line"] * 9
@@ -488,9 +489,10 @@ class TestFlagWorkers:
         for order in pooled.orders:
             assert order_from_utilities(is_representable(order).utilities) == order
 
-    def test_pool_passes_the_flippable_memo_back(self):
-        # workers flag pickled copies; each census order takes its memo
-        # back, so the edge stage walks each flippable pair once
+    def test_pooled_census_orders_keep_the_flippable_memo(self):
+        # workers flag pickled copies; the flip walk fills each census
+        # order's memo in this process before the flags, so every order
+        # holds it also when the pool did the flagging
         one = enumerate_orders(4, with_edges=False, threads=1)
         two = enumerate_orders(4, with_edges=False, threads=2)
         memos = [o._flippable for o in one.orders]
@@ -507,7 +509,153 @@ class TestFlagWorkers:
         assert census.irr_counts == n4_census.irr_counts
 
 
+def unhinted(n, threads=1):
+    """The census of ``enumerate_orders(n)`` by the route without hints:
+    edges in census order, then every flag from a cold decision."""
+    census = enumerate_orders(n, with_flags=False, with_edges=False)
+    assert _annotate_edges(census) == [None] * len(census.orders)
+    _annotate_flags(census, None, None, threads=threads)
+    return census
+
+
+def count_lps(monkeypatch):
+    """A list that grows by one on each ``represent.solve_feasibility``
+    call in this process."""
+    calls = []
+    real = represent_module.solve_feasibility
+    monkeypatch.setattr(
+        represent_module, "solve_feasibility", lambda *a: calls.append(1) or real(*a)
+    )
+    return calls
+
+
+class TestHintedWalk:
+    """Flags settled by crossing hints along the flip walk equal the cold
+    route's, and only orders no hint reaches take an LP."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_unhinted_route(self, n, threads):
+        hinted, plain = enumerate_orders(n, threads=threads), unhinted(n, threads)
+        assert hinted.orders == plain.orders
+        assert hinted.representable == plain.representable
+        assert hinted.irr_counts == plain.irr_counts
+        assert hinted.edges == plain.edges
+
+    def test_hints_reach_every_representable_order_but_a_few(self, n5_census):
+        census = enumerate_orders(5, with_flags=False, with_edges=False)
+        hints = _annotate_edges(census, is_representable(census.orders[0]).utilities)
+        assert census.edges == n5_census.edges
+        for order, hint, flag in zip(census.orders, hints, n5_census.representable):
+            if hint is not None:
+                assert flag and order_from_utilities(hint) == order
+        assert sum(h is not None for h in hints) >= sum(n5_census.representable) - 9
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_relabeled_neighbours_are_loops(self, n, request):
+        # a flip that breaks the ascending singletons swaps {i} and {i + 1}
+        # with all their translates, so relabeled it is the order itself and
+        # the walk passes no hint across it; mapped through the relabeling,
+        # the crossing hint there represents the order
+        census = request.getfixturevalue(f"n{n}_census")
+        index = {o.ranked for o in census.orders}
+        loops = mapped = 0
+        for i, order in enumerate(census.orders):
+            cert = is_representable(order)
+            for fp in flippable_pairs(order):
+                neighbor = flip(order, fp) if fp.a.mask else None
+                if neighbor is None or neighbor.ranked in index:
+                    continue
+                perm = singleton_relabeling(neighbor)
+                assert relabel_order(neighbor, perm) == order and i in census.edges[i]
+                assert len(fp.a) == len(fp.b) == 1
+                loops += 1
+                if cert.representable:
+                    hint = crossing_hint(cert.utilities, fp.a.mask, fp.b.mask, neighbor)
+                    if hint is not None:
+                        assert order_from_utilities(hint) == neighbor
+                        relabeled = tuple(hint[perm.index(k)] for k in range(1, n + 1))
+                        assert order_from_utilities(relabeled) == order
+                        mapped += 1
+        assert loops and mapped
+
+    def test_n5_census_solves_at_most_40_lps(self, monkeypatch, n5_census):
+        calls = count_lps(monkeypatch)
+        census = enumerate_orders(5)
+        assert census.representable == n5_census.representable
+        # the seed, then the 30 nonrepresentable orders and the few misses
+        assert 31 <= len(calls) <= 40
+
+    def test_poisoned_hints_leave_every_flag(self, monkeypatch, n5_census):
+        # a wrong hint costs an LP, never a verdict
+        monkeypatch.setattr(census_module, "crossing_hint", lambda u, a, b, nb: (1,) * len(u))
+        calls = count_lps(monkeypatch)
+        census = enumerate_orders(5)
+        assert census.representable == n5_census.representable
+        assert census.irr_counts == n5_census.irr_counts
+        assert census.edges == n5_census.edges
+        assert len(calls) >= 546
+
+    def test_deadline_inside_the_walk(self):
+        census = enumerate_orders(5, with_flags=False, with_edges=False)
+        seed = is_representable(census.orders[0]).utilities
+        with pytest.raises(ResourceError, match="flip walk of n=5") as exc:
+            _annotate_edges(census, seed, deadline=time.monotonic() - 1)
+        # the deadline is read every 64 orders, as the DFS reads it
+        assert exc.value.partial is census
+        assert sum(row is not None for row in census.edges) == 63
+
+    def test_a_missing_order_stops_the_seeded_walk(self):
+        full = enumerate_orders(4, with_flags=False)
+        census = OrderCensus(4, full.orders[:7] + full.orders[8:])
+        seed = is_representable(census.orders[0]).utilities
+        with pytest.raises(VerificationError, match="left the census"):
+            _annotate_edges(census, seed)
+
+    @pytest.mark.parametrize("resume_threads", [1, 2])
+    def test_interrupted_checkpoint_resumes_to_the_same_file(
+        self, tmp_path, monkeypatch, resume_threads
+    ):
+        whole, cut = tmp_path / "whole.ndjson", tmp_path / "cut.ndjson"
+        enumerate_orders(5, with_edges=False, checkpoint_path=whole)
+        flag, taken = census_module._flag_worker, []
+
+        def interrupted(job):
+            if len(taken) == 200:
+                raise KeyboardInterrupt
+            taken.append(job)
+            return flag(job)
+
+        monkeypatch.setattr(census_module, "_flag_worker", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_orders(5, with_edges=False, checkpoint_path=cut)
+        assert cut.read_text().count("\n") == 200
+        monkeypatch.setattr(census_module, "_flag_worker", flag)
+        enumerate_orders(5, with_edges=False, checkpoint_path=cut, threads=resume_threads)
+        assert cut.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_flags_without_edges(self, n):
+        # the walk builds the edges to carry the hints; they are not kept
+        census = enumerate_orders(n, with_edges=False)
+        assert census.edges is None and None not in census.representable
+
+
 class TestWorkerMap:
+    def test_items_are_taken_a_batch_ahead(self):
+        # the pool holds at most two batches of 64 chunks per worker
+        drawn = []
+
+        def items():
+            for k in range(5_000):
+                drawn.append(k)
+                yield k
+
+        with worker_map(abs, items(), 2, chunksize=8) as results:
+            assert next(results) == 0
+            assert len(drawn) <= 2 * 64 * 8 * 2
+            assert list(results) == list(range(1, 5_000))
+
     def test_leaving_early_shuts_the_pool_down(self, monkeypatch):
         import concurrent.futures
 

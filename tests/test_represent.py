@@ -4,6 +4,8 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from itertools import count
+from math import floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,7 @@ from cporders.census import enumerate_orders, relabel_order, singleton_relabelin
 from cporders.errors import (
     LengthMismatchError, NotNeighborsError, ResourceError, TieError, VerificationError,
 )
-from cporders.flips import flip, flip_neighbors, flippable_pairs
+from cporders.flips import _flipped, flip, flip_neighbors, flippable_pairs
 from cporders.lp import Feasibility, solve_feasibility
 from cporders.orders import (
     ComparativeOrder,
@@ -33,10 +35,13 @@ from cporders.represent import (
     check_certificate,
     check_trading_transform,
     find_trading_transform,
+    _simplest_between,
+    crossing_hint,
     is_representable,
     neighbor_witness_hint,
     unfriendly_flips,
 )
+from cporders.repro import random_utility_order
 
 
 def assert_farkas(rows, rhs, farkas):
@@ -776,6 +781,122 @@ class TestWitnessHint:
         order = order_from_utilities(utilities)
         fp = next(p for p in flippable_pairs(order) if p.a.mask != 0)
         assert neighbor_witness_hint(utilities, fp) is None
+
+
+def line_interval(utilities, a, b, neighbor):
+    """The open interval (lo, hi) of s > 0, in Fractions, on which u - s
+    sigma re-derives ``neighbor`` (hi None: unbounded), sigma = chi(B) -
+    chi(A); None when it is empty."""
+    n = len(utilities)
+    sigma = [(b >> i & 1) - (a >> i & 1) for i in range(n)]
+    lo, hi = Fraction(0), None
+    ranked = neighbor.ranked
+    for s, t in zip(ranked, ranked[1:]):
+        c0 = sum(utilities[i] * ((t >> i & 1) - (s >> i & 1)) for i in range(n))
+        d = sum(sigma[i] * ((t >> i & 1) - (s >> i & 1)) for i in range(n))
+        if d > 0:
+            hi = Fraction(c0, d) if hi is None else min(hi, Fraction(c0, d))
+        elif d < 0:
+            lo = max(lo, Fraction(c0, d))
+        elif c0 <= 0:
+            return None
+    return None if hi is not None and hi <= lo else (lo, hi)
+
+
+def check_crossing_hints(order, utilities):
+    """Hits and misses of ``crossing_hint`` over the order's flips: None
+    exactly where the Fraction interval is empty, and a hint re-derives its
+    neighbour, so no nonrepresentable neighbour gets one."""
+    hits = misses = 0
+    for fp in flippable_pairs(order):
+        if fp.a.mask == 0:
+            continue
+        a, b = fp.a.mask, fp.b.mask
+        neighbor = _flipped(order, a, b)
+        hint = crossing_hint(utilities, a, b, neighbor)
+        interval = line_interval(utilities, a, b, neighbor)
+        assert (hint is None) == (interval is None)
+        if hint is None:
+            misses += 1
+            continue
+        hits += 1
+        assert order_from_utilities(hint) == neighbor
+    return hits, misses
+
+
+class TestCrossingHint:
+    """``crossing_hint`` walks the line u - s sigma into the flip's region."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_random_orders(self, n, seed):
+        # from the random utilities behind the order and from its LP witness
+        rng = random.Random(1000 * n + seed)
+        while True:
+            utilities = tuple(rng.randrange(1, 10**6) for _ in range(n))
+            try:
+                order = order_from_utilities(utilities)
+                break
+            except TieError:
+                continue
+        check_crossing_hints(order, utilities)
+        check_crossing_hints(order, is_representable(order).utilities)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 10**4), min_size=4, max_size=8))
+    def test_any_utilities(self, utilities):
+        try:
+            order = order_from_utilities(utilities)
+        except TieError:
+            assume(False)
+        check_crossing_hints(order, utilities)
+
+    def test_nonrepresentable_neighbours_get_none(self, n5_census):
+        # every neighbour a hint reaches is representable: each unfriendly
+        # flip of a representable census order gets None
+        hits = unfriendly = 0
+        for order, flag in zip(n5_census.orders, n5_census.representable):
+            if not flag:
+                continue
+            utilities = is_representable(order).utilities
+            bad = {(fp.a.mask, fp.b.mask) for fp in unfriendly_flips(order, utilities)}
+            for fp in flippable_pairs(order):
+                if fp.a.mask == 0:
+                    continue
+                a, b = fp.a.mask, fp.b.mask
+                hint = crossing_hint(utilities, a, b, _flipped(order, a, b))
+                if (a, b) in bad:
+                    assert hint is None
+                    unfriendly += 1
+                hits += hint is not None
+        assert unfriendly and hits
+
+    def test_hits_and_misses_both_occur(self):
+        # the line from one witness can miss a representable neighbour's
+        # region, so None does not prove nonrepresentability
+        rng = random.Random(20261022)
+        hits = misses = 0
+        for n in (5, 6):
+            for _ in range(10):
+                order = random_utility_order(n, rng)
+                got = check_crossing_hints(order, is_representable(order).utilities)
+                hits, misses = hits + got[0], misses + got[1]
+        assert hits and misses
+
+    def test_simplest_point(self):
+        # the least denominator strictly inside, against a search
+        rng = random.Random(7)
+        for _ in range(300):
+            lo = Fraction(rng.randrange(0, 60), rng.randrange(1, 12))
+            hi = lo + Fraction(rng.randrange(1, 40), rng.randrange(1, 30))
+            hi_args = (hi.numerator, hi.denominator) if rng.random() < 0.8 else (0, None)
+            p, q = _simplest_between(lo.numerator, lo.denominator, *hi_args)
+            top = hi if hi_args[1] else None
+            least = next(
+                d for d in count(1) if top is None or Fraction(floor(lo * d) + 1, d) < top
+            )
+            assert lo < Fraction(p, q) and (top is None or Fraction(p, q) < top)
+            assert q == least
 
 
 def unfriendly_oracle(order, utilities):
